@@ -116,16 +116,17 @@ def _check_monotone(sp, tp, table):
                 raise NotMonotone((i, j))
 
 
+def _mail_pairs(g):
+    """(i, j, join) for every 2-element mail {i, j} of g, i < j."""
+    return [(i, j, g.joins[i][j]) for i in range(g.n)
+            for j in iter_bits(g.overlap[i] & -(2 << i))]
+
+
 def _check_mail_joins(g1, g2, table):
-    p1, p2 = g1.poset, g2.poset
-    for i in range(p1.n):
-        bi = p1.below[i]
-        for j in range(i + 1, p1.n):
-            if bi & p1.below[j]:
-                join1 = p1.join_mask((1 << i) | (1 << j))
-                img = p2.join_mask((1 << table[i]) | (1 << table[j]))
-                if img is None or table[join1] != img:
-                    raise MailJoinNotPreserved((i, j))
+    joins2 = g2.joins
+    for i, j, join1 in _mail_pairs(g1):
+        if table[join1] != joins2[table[i]][table[j]]:
+            raise MailJoinNotPreserved((i, j))
 
 
 def _check_join_preserving(l1, l2, table):
@@ -531,20 +532,13 @@ def monotone_tables(p1, p2):
 
 def chainmail_morphism_tables(g1, g2):
     """All chainmail morphisms g1 -> g2, as tables."""
-    p1, p2 = g1.poset, g2.poset
-    mail_pairs = []
-    for i in range(p1.n):
-        for j in range(i + 1, p1.n):
-            if p1.below[i] & p1.below[j]:
-                mail_pairs.append((i, j, p1.join_mask((1 << i) | (1 << j))))
-    for table in monotone_tables(p1, p2):
-        ok = True
+    mail_pairs = _mail_pairs(g1)
+    joins2 = g2.joins
+    for table in monotone_tables(g1.poset, g2.poset):
         for i, j, join1 in mail_pairs:
-            img = p2.join_mask((1 << table[i]) | (1 << table[j]))
-            if img is None or table[join1] != img:
-                ok = False
+            if table[join1] != joins2[table[i]][table[j]]:
                 break
-        if ok:
+        else:
             yield table
 
 

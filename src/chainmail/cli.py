@@ -120,6 +120,9 @@ def _cmd_build(args):
 
 
 def _cmd_verify(args):
+    if args.max_size is not None and args.max_size < 1:
+        return _usage(args, f"--max-size must be at least 1, "
+                            f"got {args.max_size}")
     report = verify.run_suite(args.suite, max_size=args.max_size)
     status = "ok" if report.ok() else "FAILED"
     print(f"suite {report.name} [{report.sizes}]: "
@@ -134,8 +137,7 @@ def _cmd_enumerate(args):
     if args.n >= _STRETCH_FLOOR and not args.stretch:
         return _usage(args, f"-n {args.n} needs --stretch (sizes below "
                             f"{_STRETCH_FLOOR} run without it)")
-    task = EnumerationTask(args.n, args.filter, jobs=args.jobs,
-                           emit="catalog" if args.catalog else "count-only")
+    task = EnumerationTask(args.n, args.filter, jobs=args.jobs)
     if args.catalog:
         entries = emit_catalog(task, args.catalog, budget=args.budget)
         print(f"wrote {len(entries)} diagrams and manifest.jsonl "

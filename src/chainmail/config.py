@@ -7,6 +7,8 @@ cap also via the CHAINMAIL_BUDGET environment variable.
 
 import os
 
+from .errors import ChainmailError
+
 DEFAULT_POSET_CAP = 24        # validated input posets
 DEFAULT_FAMILY_CAP = 1 << 16  # materialized set families (td sets, separated sets)
 DEFAULT_ENUM_CAP = 10         # exhaustive generation
@@ -18,7 +20,13 @@ def poset_cap(override=None):
     if override is not None:
         return override
     env = os.environ.get("CHAINMAIL_BUDGET")
-    return int(env) if env else DEFAULT_POSET_CAP
+    if not env:
+        return DEFAULT_POSET_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ChainmailError(
+            f"CHAINMAIL_BUDGET must be an integer, got {env!r}") from None
 
 
 def family_cap(override=None):

@@ -21,24 +21,22 @@ from multiprocessing import get_context
 
 from . import config
 from .canonical import canonical_labeling, canonical_maximal_position
-from .errors import AxiomViolation, SizeBudgetExceeded
-from .mails import Chainmail, iter_td_masks, poset_is_chainmail
+from .errors import AxiomViolation, NotAChainmail, SizeBudgetExceeded
+from .mails import as_chainmail, iter_td_masks
 from .poset import Poset, to_dot
 
 FILTERS = ("all-posets", "chainmails", "mail-connected-chainmails")
-EMIT_MODES = ("count-only", "catalog")
 
 _SPLIT_SIZE = 4  # seed size at which the tree is handed to workers
 
 
 @dataclass(frozen=True)
 class EnumerationTask:
-    """What to generate: target size, structure filter, workers, output."""
+    """What to generate: target size, structure filter, workers."""
 
     size: int
     filter: str = "all-posets"
     jobs: int = 1
-    emit: str = "count-only"
 
     def __post_init__(self):
         if self.size < 1:
@@ -47,8 +45,6 @@ class EnumerationTask:
             raise AxiomViolation("task-jobs", self.jobs)
         if self.filter not in FILTERS:
             raise AxiomViolation("task-filter", self.filter)
-        if self.emit not in EMIT_MODES:
-            raise AxiomViolation("task-emit", self.emit)
 
 
 @dataclass(frozen=True)
@@ -142,76 +138,33 @@ def enumerate_posets(n, budget=None):
             yield p
 
 
-def _mail_connected(p):
-    if p.n == 0:
-        return False
-    return len(Chainmail(p).components_of(p.full_mask())) == 1
+def posets_up_to(n):
+    """One representative per isomorphism class on 1..n elements, by size.
+
+    One walk, stably sorted by size: the walk is a preorder, and cutting
+    it off deeper does not reorder the posets of one size, so each size
+    comes out in the order :func:`enumerate_posets` yields it.
+    """
+    _check_size(n, None)
+    return sorted(_walk_from_unit(n), key=lambda p: p.n)
+
+
+def _mail_connected(g):
+    return len(g.components_of(g.poset.full_mask())) == 1
 
 
 def _passes(p, which):
     if which == "all-posets":
         return True
-    if not poset_is_chainmail(p):
+    try:
+        g = as_chainmail(p)
+    except NotAChainmail:
         return False
-    return which == "chainmails" or _mail_connected(p)
+    return which == "chainmails" or _mail_connected(g)
 
 
 def _count_subtrees(args):
-    above_rows, n, which = args
-    counts = {}
-    for rows in above_rows:
-        seed = Poset(rows)
-        for dmask in _downset_orbit_reps(seed):
-            child = _extend(seed, dmask)
-            if _accepted(child):
-                for q in _walk(child, n):
-                    if _passes(q, which):
-                        counts[q.n] = counts.get(q.n, 0) + 1
-    return counts
-
-
-def _split_seeds(task):
-    """Seeds for the workers plus counts for the sizes handled inline."""
-    k0 = min(task.size, _SPLIT_SIZE)
-    counts = {s: 0 for s in range(1, task.size + 1)}
-    seeds = []
-    for p in _walk_from_unit(k0):
-        if _passes(p, task.filter):
-            counts[p.n] += 1
-        if p.n == k0:
-            seeds.append(p.above)
-    return counts, seeds
-
-
-def count_chainmails(task, budget=None):
-    """Isomorphism-class counts per size, 1..task.size, under the filter."""
-    _check_size(task.size, budget)
-    if task.jobs == 1 or task.size <= _SPLIT_SIZE:
-        counts = {s: 0 for s in range(1, task.size + 1)}
-        for p in _walk_from_unit(task.size):
-            if _passes(p, task.filter):
-                counts[p.n] += 1
-        return counts
-    counts, seeds = _split_seeds(task)
-    chunks = [(seeds[w::task.jobs], task.size, task.filter)
-              for w in range(task.jobs)]
-    with get_context("fork").Pool(task.jobs) as pool:
-        for part in pool.map(_count_subtrees, chunks):
-            for size, c in part.items():
-                counts[size] += c
-    return counts
-
-
-def _entry_fields(p):
-    chain = poset_is_chainmail(p)
-    connected = chain and _mail_connected(p)
-    d_size = None
-    if chain:
-        d_size = sum(1 for _ in iter_td_masks(Chainmail(p)))
-    return chain, connected, d_size
-
-
-def _collect_entries(args):
+    """Pool worker: the passing descendants of a stripe of seeds, as rows."""
     above_rows, n, which = args
     out = []
     for rows in above_rows:
@@ -219,10 +172,53 @@ def _collect_entries(args):
         for dmask in _downset_orbit_reps(seed):
             child = _extend(seed, dmask)
             if _accepted(child):
-                for q in _walk(child, n):
-                    if _passes(q, which):
-                        out.append((q.above, q.canonical()[0].hex()))
+                out.extend(q.above for q in _walk(child, n)
+                           if _passes(q, which))
     return out
+
+
+def _passing(task):
+    """Every visited poset up to ``task.size`` that passes the filter.
+
+    With one job, or below the split size, this is one serial walk.
+    Otherwise the walk stops at the split size and the seeds there are
+    striped over the pool, whose posets stream back a stripe at a time.
+    """
+    if task.jobs == 1 or task.size <= _SPLIT_SIZE:
+        for p in _walk_from_unit(task.size):
+            if _passes(p, task.filter):
+                yield p
+        return
+    seeds = []
+    for p in _walk_from_unit(_SPLIT_SIZE):
+        if _passes(p, task.filter):
+            yield p
+        if p.n == _SPLIT_SIZE:
+            seeds.append(p.above)
+    chunks = [(seeds[w::task.jobs], task.size, task.filter)
+              for w in range(task.jobs)]
+    workers = min(task.jobs, len(seeds), os.cpu_count() or 1)
+    with get_context("fork").Pool(workers) as pool:
+        for part in pool.imap(_count_subtrees, chunks):
+            for rows in part:
+                yield Poset(rows)
+
+
+def count_chainmails(task, budget=None):
+    """Isomorphism-class counts per size, 1..task.size, under the filter."""
+    _check_size(task.size, budget)
+    counts = {s: 0 for s in range(1, task.size + 1)}
+    for p in _passing(task):
+        counts[p.n] += 1
+    return counts
+
+
+def _entry_fields(p):
+    try:
+        g = as_chainmail(p)
+    except NotAChainmail:
+        return False, False, None
+    return True, _mail_connected(g), sum(1 for _ in iter_td_masks(g))
 
 
 def emit_catalog(task, out_dir, budget=None):
@@ -233,30 +229,13 @@ def emit_catalog(task, out_dir, budget=None):
     Returns the entries in file order.
     """
     _check_size(task.size, budget)
-    raw = []
-    if task.jobs == 1 or task.size <= _SPLIT_SIZE:
-        for p in _walk_from_unit(task.size):
-            if _passes(p, task.filter):
-                raw.append((p.above, p.canonical()[0].hex()))
-    else:
-        k0 = min(task.size, _SPLIT_SIZE)
-        seeds = []
-        for p in _walk_from_unit(k0):
-            if _passes(p, task.filter):
-                raw.append((p.above, p.canonical()[0].hex()))
-            if p.n == k0:
-                seeds.append(p.above)
-        chunks = [(seeds[w::task.jobs], task.size, task.filter)
-                  for w in range(task.jobs)]
-        with get_context("fork").Pool(task.jobs) as pool:
-            for part in pool.map(_collect_entries, chunks):
-                raw.extend(part)
-    raw.sort(key=lambda item: (len(item[0]), item[1]))
+    found = sorted(_passing(task),
+                   key=lambda p: (p.n, p.canonical()[0].hex()))
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     rank = {}
-    for rows, code in raw:
-        p = Poset(rows)
+    for p in found:
+        code = p.canonical()[0].hex()
         i = rank.get(p.n, 0)
         rank[p.n] = i + 1
         chain, connected, d_size = _entry_fields(p)

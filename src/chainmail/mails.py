@@ -24,36 +24,27 @@ from .poset import Poset, mask_of, set_of
 
 
 class Chainmail:
-    """A validated chainmail; build with :func:`as_chainmail`."""
+    """A validated chainmail; build with :func:`as_chainmail`.
 
-    __slots__ = ("poset", "n", "_overlap")
+    ``joins[i][j]`` is the join of the mail {i, j} (i on the diagonal), or
+    None when i and j have no common lower bound; ``overlap[i]`` is the
+    mask of the j whose join with i is defined.
+    """
 
-    def __init__(self, poset):
+    __slots__ = ("poset", "n", "joins", "overlap")
+
+    def __init__(self, poset, joins, overlap):
         self.poset = poset
         self.n = poset.n
-        self._overlap = None
+        self.joins = joins
+        self.overlap = overlap
 
     def __repr__(self):
         return f"Chainmail(n={self.n})"
 
-    def overlap(self):
-        """overlap()[i] = mask of j whose down-set meets i's down-set."""
-        if self._overlap is None:
-            below = self.poset.below
-            table = []
-            for i in range(self.n):
-                bi = below[i]
-                row = 0
-                for j in range(self.n):
-                    if bi & below[j]:
-                        row |= 1 << j
-                table.append(row)
-            self._overlap = tuple(table)
-        return self._overlap
-
     def components_of(self, mask):
         """Maximal mail-connected subsets of ``mask``, as sorted masks."""
-        overlap = self.overlap()
+        overlap = self.overlap
         out = []
         rest = mask
         while rest:
@@ -72,30 +63,48 @@ class Chainmail:
         out.sort()
         return out
 
+    def mail_joins_within(self, mask):
+        """Mask of the joins of the 2-element mails inside ``mask``."""
+        joins, overlap = self.joins, self.overlap
+        out = 0
+        for i in iter_bits(mask):
+            row = joins[i]
+            for j in iter_bits(overlap[i] & mask & -(2 << i)):  # j > i
+                out |= 1 << row[j]
+        return out
+
 
 def as_chainmail(p):
-    """Validate that Poset ``p`` is a chainmail.
+    """Validate that Poset ``p`` is a chainmail and tabulate its mail joins.
 
     Checks every 2-element mail for a join; the witness on failure is the
     first failing pair in index order.  The empty poset passes vacuously.
     """
     if not isinstance(p, Poset):
         raise TypeError(f"expected Poset, got {type(p).__name__}")
-    for i in range(p.n):
-        bi = p.below[i]
-        for j in range(i + 1, p.n):
-            if bi & p.below[j] and p.join_mask((1 << i) | (1 << j)) is None:
-                raise NotAChainmail((i, j))
-    return Chainmail(p)
+    n, above, below = p.n, p.above, p.below
+    joins = [[None] * n for _ in range(n)]
+    overlap = [1 << i for i in range(n)]
+    for i in range(n):
+        bi, ai, row = below[i], above[i], joins[i]
+        row[i] = i
+        for j in range(i + 1, n):
+            if bi & below[j]:
+                jm = p.least_of(ai & above[j])
+                if jm is None:
+                    raise NotAChainmail((i, j))
+                row[j] = joins[j][i] = jm
+                overlap[i] |= 1 << j
+                overlap[j] |= 1 << i
+    return Chainmail(p, tuple(map(tuple, joins)), tuple(overlap))
 
 
 def poset_is_chainmail(p):
     """Pairwise criterion as a predicate, for enumeration filters."""
-    for i in range(p.n):
-        bi = p.below[i]
-        for j in range(i + 1, p.n):
-            if bi & p.below[j] and p.join_mask((1 << i) | (1 << j)) is None:
-                return False
+    try:
+        as_chainmail(p)
+    except NotAChainmail:
+        return False
     return True
 
 
@@ -122,25 +131,18 @@ def join_of_mail_connected(g, c):
     comps = g.components_of(mask)
     if len(comps) != 1:
         raise NotMailConnected(tuple(set_of(m) for m in comps))
-    p = g.poset
     rest = mask
     low = rest & -rest
     acc = low.bit_length() - 1
     rest ^= low
     while rest:
-        nxt = None
-        for x in iter_bits(rest):
-            if p.below[acc] & p.below[x]:
-                nxt = x
-                break
-        if nxt is None:
+        nxt = g.overlap[acc] & rest
+        if not nxt:
             raise TheoremViolation("hierarchical-join-stuck", (set_of(mask), acc))
-        j = p.join_mask((1 << acc) | (1 << nxt))
-        if j is None:
-            raise TheoremViolation("hierarchical-join-missing", (acc, nxt))
-        acc = j
-        rest ^= 1 << nxt
-    lub = p.join_mask(mask)
+        nxt &= -nxt
+        acc = g.joins[acc][nxt.bit_length() - 1]
+        rest ^= nxt
+    lub = g.poset.join_mask(mask)
     if lub != acc:
         raise TheoremViolation("hierarchical-join-mismatch", (set_of(mask), acc, lub))
     return acc
@@ -148,7 +150,7 @@ def join_of_mail_connected(g, c):
 
 def is_totally_disconnected(g, s):
     mask = mask_of(s)
-    overlap = g.overlap()
+    overlap = g.overlap
     for i in iter_bits(mask):
         if overlap[i] & mask & ~(1 << i):
             return False
@@ -205,33 +207,15 @@ def is_subchainmail(g, x):
     puts each mail's lower bound inside the set.
     """
     mask = mask_of(x)
-    p = g.poset
-    if not p.is_down_closed(mask):
-        return False
-    for i in iter_bits(mask):
-        bi = p.below[i]
-        for j in iter_bits(mask & ~((1 << (i + 1)) - 1)):
-            if bi & p.below[j]:
-                jm = p.join_mask((1 << i) | (1 << j))
-                if jm is None or not (mask >> jm) & 1:
-                    return False
-    return True
+    return (g.poset.is_down_closed(mask)
+            and not g.mail_joins_within(mask) & ~mask)
 
 
 def _generate_mask(g, mask):
     p = g.poset
     cur = p.down_closure(mask)
     while True:
-        added = 0
-        for i in iter_bits(cur):
-            bi = p.below[i]
-            for j in iter_bits(cur & ~((1 << (i + 1)) - 1)):
-                if bi & p.below[j]:
-                    jm = p.join_mask((1 << i) | (1 << j))
-                    if jm is None:
-                        raise TheoremViolation("subchainmail-join-missing", (i, j))
-                    if not (cur >> jm) & 1:
-                        added |= 1 << jm
+        added = g.mail_joins_within(cur) & ~cur
         if not added:
             return cur
         cur = p.down_closure(cur | added)
@@ -253,7 +237,7 @@ def _maximal_of(p, mask):
 
 def iter_td_masks(g):
     """All totally disconnected sets of ``g`` as bitmasks, by backtracking."""
-    overlap = g.overlap()
+    overlap = g.overlap
     full = g.poset.full_mask()
 
     def walk(cur, allowed):

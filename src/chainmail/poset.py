@@ -348,8 +348,9 @@ def from_json_dict(data, budget=None):
     index = {name: i for i, name in enumerate(names)}
     pairs = []
     for item in cover_items:
-        a, b = item
-        a, b = str(a), str(b)
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise AxiomViolation("json-shape", f"cover {item!r} is not a pair")
+        a, b = str(item[0]), str(item[1])
         if a not in index or b not in index:
             raise AxiomViolation("element-range", (a, b))
         pairs.append((index[a], index[b]))

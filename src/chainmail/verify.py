@@ -10,10 +10,10 @@ suite both run these.
 from dataclasses import dataclass, field
 
 from . import category, lattice, mails
-from .enumeration import enumerate_posets
-from .errors import NotALattice, TheoremViolation
+from .enumeration import posets_up_to
+from .errors import NotAChainmail, NotALattice, TheoremViolation
 from .lattice import as_complete_lattice
-from .mails import Chainmail, poset_is_chainmail
+from .mails import as_chainmail, poset_is_chainmail
 
 
 @dataclass
@@ -36,19 +36,23 @@ def _poset_name(p):
 
 
 def _lattices_up_to(n):
-    for size in range(1, n + 1):
-        for p in enumerate_posets(size):
-            try:
-                yield as_complete_lattice(p)
-            except NotALattice:
-                continue
+    for p in posets_up_to(n):
+        try:
+            yield as_complete_lattice(p)
+        except NotALattice:
+            continue
 
 
 def _chainmails_up_to(n):
-    for size in range(1, n + 1):
-        for p in enumerate_posets(size):
-            if poset_is_chainmail(p):
-                yield Chainmail(p)
+    for p in posets_up_to(n):
+        try:
+            yield as_chainmail(p)
+        except NotAChainmail:
+            continue
+
+
+def _bound(max_size, default):
+    return default if max_size is None else max_size
 
 
 def suite_connectivity_conditions(max_size=None):
@@ -61,7 +65,7 @@ def suite_connectivity_conditions(max_size=None):
     disjoint-join-indecomposable implies separated-join-prime, closing
     the circle.
     """
-    bound = max_size or 6
+    bound = _bound(max_size, 6)
     report = SuiteReport("connectivity-conditions", f"lattices from n<={bound}")
     implications = [
         ("separated-join-prime", "disjoint-join-prime"),
@@ -98,7 +102,7 @@ def suite_local_connectivity(max_size=None):
     condition.  The classification helper re-checks its own trichotomy
     and raises on mismatch, which the suite records as a violation.
     """
-    bound = max_size or 6
+    bound = _bound(max_size, 6)
     report = SuiteReport("local-connectivity", f"lattices from n<={bound}")
     for lat in _lattices_up_to(bound):
         report.checked += 1
@@ -130,7 +134,7 @@ def suite_unit_counit(max_size=None):
     every locally connected lattice is recovered isomorphically, via
     the counit, from its chainmail of connected elements.
     """
-    bound = max_size or 6
+    bound = _bound(max_size, 6)
     report = SuiteReport("unit-counit",
                          f"chainmails and lattices from n<={bound}")
     for g in _chainmails_up_to(bound):
@@ -219,8 +223,8 @@ def suite_adjunction(max_size=None):
     checking the explicit bijection (strict and weakened lattice-side
     morphisms) plus both triangle identities.
     """
-    g_bound = max_size or 4
-    l_bound = (max_size + 1) if max_size else 5
+    g_bound = _bound(max_size, 4)
+    l_bound = g_bound + 1
     report = SuiteReport(
         "adjunction", f"chainmails n<={g_bound} x lattices n<={l_bound}")
     gs = list(_chainmails_up_to(g_bound))
@@ -260,16 +264,15 @@ def suite_pairwise_criterion(max_size=None):
     bounded size and compares the quadratic test against the exponential
     all-mails reference.
     """
-    bound = max_size or 6
+    bound = _bound(max_size, 6)
     report = SuiteReport("pairwise-criterion", f"posets n<={bound}")
-    for size in range(1, bound + 1):
-        for p in enumerate_posets(size):
-            report.checked += 1
-            fast = poset_is_chainmail(p)
-            slow = _chainmail_by_all_mails(p)
-            if fast != slow:
-                report.record(_poset_name(p), "pairwise mail test agrees",
-                              (fast, slow))
+    for p in posets_up_to(bound):
+        report.checked += 1
+        fast = poset_is_chainmail(p)
+        slow = _chainmail_by_all_mails(p)
+        if fast != slow:
+            report.record(_poset_name(p), "pairwise mail test agrees",
+                          (fast, slow))
     return report
 
 
@@ -283,8 +286,12 @@ SUITES = {
 
 
 def run_suite(name, max_size=None):
+    """Run one suite; an empty population is recorded as a violation."""
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite: {name!r}") from None
-    return fn(max_size=max_size)
+    report = fn(max_size=max_size)
+    if not report.checked:
+        report.record(report.sizes, "population is not empty", max_size)
+    return report

@@ -144,6 +144,42 @@ def test_verify_reports_violations(capsys, monkeypatch):
     assert any(line.startswith("  poset(") for line in lines[1:])
 
 
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_verify_rejects_max_size_below_one(bound, capsys):
+    assert main(["verify", "--suite", "pairwise-criterion",
+                 "--max-size", bound]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-size must be at least 1" in captured.err
+
+
+def test_verify_empty_population_is_not_ok(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "posets_up_to", lambda n: [])
+    assert main(["verify", "--suite", "pairwise-criterion",
+                 "--max-size", "3"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("suite pairwise-criterion [posets n<=3]: "
+                        "0 checked, 1 violations: FAILED")
+    assert "population is not empty" in lines[1]
+
+
+@pytest.mark.parametrize("cover", [["a", "b", "c"], ["a"], 5])
+def test_check_rejects_malformed_cover(cover, tmp_path, capsys):
+    f = write_json(tmp_path / "bad.json",
+                   {"elements": ["a", "b", "c"], "covers": [cover]})
+    assert main(["check", f]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("poset: no (json-shape violated")
+
+
+def test_budget_env_must_be_an_integer(cx_file, capsys, monkeypatch):
+    monkeypatch.setenv("CHAINMAIL_BUDGET", "abc")
+    assert main(["render", cx_file]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CHAINMAIL_BUDGET must be an integer")
+    assert "Traceback" not in err
+
+
 def test_enumerate_counts(capsys):
     assert main(["enumerate", "-n", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()

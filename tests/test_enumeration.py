@@ -7,7 +7,6 @@ import pytest
 import oracles
 from chainmail import enumeration
 from chainmail.enumeration import (
-    EMIT_MODES,
     FILTERS,
     EnumerationTask,
     count_chainmails,
@@ -16,7 +15,7 @@ from chainmail.enumeration import (
 )
 from chainmail.errors import AxiomViolation, SizeBudgetExceeded
 from chainmail.mails import (
-    Chainmail,
+    as_chainmail,
     is_totally_disconnected,
     poset_is_chainmail,
 )
@@ -75,6 +74,38 @@ def test_worker_count_independence():
                 == single
 
 
+def test_pool_workers_are_capped(monkeypatch):
+    """The pool starts min(jobs, seeds, CPUs) workers; checked with a
+    serial stand-in for the pool, so no process is started."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, chunks):
+            return map(fn, chunks)
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(enumeration, "get_context", lambda method: Context())
+    single = count_chainmails(EnumerationTask(6))
+    seeds = len(list(enumerate_posets(4)))
+    for cpus, jobs, want in ((3, 2, 2), (3, 64, 3), (None, 64, 1),
+                             (100, 64, seeds)):
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+        assert count_chainmails(EnumerationTask(6, jobs=jobs)) == single
+        assert started.pop() == want
+    assert not started
+
+
 def test_task_validation():
     with pytest.raises(AxiomViolation) as e:
         EnumerationTask(0)
@@ -85,12 +116,8 @@ def test_task_validation():
     with pytest.raises(AxiomViolation) as e:
         EnumerationTask(3, "widgets")
     assert e.value.axiom == "task-filter"
-    with pytest.raises(AxiomViolation) as e:
-        EnumerationTask(3, emit="xml")
-    assert e.value.axiom == "task-emit"
     assert FILTERS == ("all-posets", "chainmails",
                        "mail-connected-chainmails")
-    assert EMIT_MODES == ("count-only", "catalog")
 
 
 def test_size_budget():
@@ -102,14 +129,14 @@ def test_size_budget():
 
 
 def test_catalog_through_size_three(tmp_path):
-    task = EnumerationTask(3, "mail-connected-chainmails", emit="catalog")
+    task = EnumerationTask(3, "mail-connected-chainmails")
     entries = emit_catalog(task, tmp_path / "cat")
     assert len(entries) == 4
 
 
 def test_catalog_files_and_manifest(tmp_path):
     out = tmp_path / "cat4"
-    task = EnumerationTask(4, "mail-connected-chainmails", emit="catalog")
+    task = EnumerationTask(4, "mail-connected-chainmails")
     entries = emit_catalog(task, out)
     assert [e.filename for e in entries] == [
         "poset-n1-0000.dot",
@@ -125,7 +152,7 @@ def test_catalog_files_and_manifest(tmp_path):
         assert text.count("[label=") == e.poset.n
         assert e.chainmail and e.mail_connected
         assert poset_is_chainmail(e.poset)
-        g = Chainmail(e.poset)
+        g = as_chainmail(e.poset)
         assert len(g.components_of(e.poset.full_mask())) == 1
         td = sum(1 for m in range(1 << g.n)
                  if is_totally_disconnected(
@@ -143,7 +170,7 @@ def test_catalog_files_and_manifest(tmp_path):
 
 
 def test_catalog_reruns_identically(tmp_path):
-    task = EnumerationTask(4, emit="catalog")
+    task = EnumerationTask(4)
     first = emit_catalog(task, tmp_path / "a")
     second = emit_catalog(task, tmp_path / "b")
     assert [e.code for e in first] == [e.code for e in second]
@@ -155,8 +182,8 @@ def test_catalog_reruns_identically(tmp_path):
 
 
 def test_catalog_worker_independence(tmp_path):
-    task1 = EnumerationTask(5, emit="catalog")
-    task2 = EnumerationTask(5, emit="catalog", jobs=2)
+    task1 = EnumerationTask(5)
+    task2 = EnumerationTask(5, jobs=2)
     first = emit_catalog(task1, tmp_path / "j1")
     second = emit_catalog(task2, tmp_path / "j2")
     assert [(e.code, e.filename) for e in first] \

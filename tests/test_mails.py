@@ -68,6 +68,35 @@ def test_pairwise_criterion_matches_all_mails_definition(posets_by_size):
             )
 
 
+def test_join_table_matches_oracle(posets_by_size):
+    """The mail-join table against brute force: the least upper bound of
+    every pair with a common lower bound, None for every other pair, and
+    on failure the first pair in index order that has no join."""
+    for posets in posets_by_size.values():
+        for p in posets:
+            n, rows = p.n, p.above
+            want = [[None] * n for _ in range(n)]
+            missing = None
+            for i in range(n):
+                for j in range(n):
+                    pair = (1 << i) | (1 << j)
+                    if not oracles.lower_bound_mask(n, rows, pair):
+                        continue
+                    want[i][j] = oracles.least_upper_bound(n, rows, pair)
+                    if want[i][j] is None and missing is None:
+                        missing = (i, j)
+            if missing is not None:
+                with pytest.raises(NotAChainmail) as e:
+                    as_chainmail(p)
+                assert e.value.witness == missing
+                continue
+            g = as_chainmail(p)
+            assert [list(row) for row in g.joins] == want
+            assert list(g.overlap) == [
+                sum(1 << j for j in range(n) if want[i][j] is not None)
+                for i in range(n)]
+
+
 # -- mails and mail-connected sets ---------------------------------------------------
 
 def test_is_mail(counterexample):
@@ -150,7 +179,7 @@ def test_x_star_rejects_non_disconnected_result(counterexample):
 
 def test_iter_td_matches_bruteforce(small_chainmails):
     for g in small_chainmails:
-        overlap = g.overlap()
+        overlap = g.overlap
         slow = sorted(
             m for m in range(1 << g.n)
             if all(not (overlap[i] & m & ~(1 << i)) for i in set_of(m))
