@@ -1,13 +1,14 @@
 """Canonical labeling of finite posets by partition refinement plus backtracking.
 
-The code produced is a complete isomorphism invariant: two posets (optionally
-carrying an element coloring) get byte-identical codes iff they are isomorphic
-(respecting colors).  Self-contained on purpose: no external canonical-labeling
-tool, so the whole artifact stays dependency-free.
+The code produced is a complete isomorphism invariant: two posets get
+byte-identical codes iff they are isomorphic.  The same search yields
+generators of the automorphism group, so orbit questions need no second
+labeling.  Self-contained on purpose: no external canonical-labeling tool,
+so the whole artifact stays dependency-free.
 
 Conventions: the order relation arrives as bit rows, ``above[i]`` = mask of
 ``{j : i <= j}`` including ``i`` itself.  The returned permutation maps old
-index -> canonical position.
+index -> canonical position; an automorphism maps index -> image.
 """
 
 from itertools import combinations
@@ -32,22 +33,23 @@ def transpose(n, above):
     return below
 
 
-def refine_colors(n, above, below, colors=None):
-    """Stable coloring refined from ``colors`` by strict up/down neighborhoods.
+def refine_colors(n, above, below):
+    """Stable coloring refined from one class by strict up/down neighborhoods.
 
     Color values are ranks of isomorphism-invariant keys, so corresponding
     elements of isomorphic structures always receive equal colors.
     """
     sbl = [list(iter_bits(below[i] & ~(1 << i))) for i in range(n)]
     sab = [list(iter_bits(above[i] & ~(1 << i))) for i in range(n)]
-    cur = list(colors) if colors is not None else [0] * n
-    ncls = len(set(cur))
+    cur = [0] * n
+    ncls = 1
     while True:
+        color = cur.__getitem__
         keys = [
             (
                 cur[i],
-                tuple(sorted(cur[j] for j in sbl[i])),
-                tuple(sorted(cur[j] for j in sab[i])),
+                tuple(sorted(map(color, sbl[i]))),
+                tuple(sorted(map(color, sab[i]))),
             )
             for i in range(n)
         ]
@@ -71,19 +73,23 @@ def _swap_masks(n, above, below):
     return swap
 
 
-def canonical_labeling(n, above, colors=None):
-    """Return ``(code, perm)`` canonicalizing the poset given by ``above``.
+def canonical_labeling(n, above):
+    """Return ``(code, perm, automorphisms)`` canonicalizing ``above``.
 
-    ``colors``, when given, is a per-element tuple of small ints that the
-    labeling must respect (and that enters the code).  ``perm[old]`` is the
-    canonical position of element ``old``; the code is the relation matrix
-    of the relabeled poset, minimized over all labelings compatible with
-    the refined partition.
+    ``perm[old]`` is the canonical position of element ``old``; the code is
+    the relation matrix of the relabeled poset, minimized over all labelings
+    compatible with the refined partition.  ``automorphisms`` is a tuple of
+    permutations (``g[i]`` is the image of ``i``) generating the whole
+    automorphism group: the twin transpositions that prune the search, and
+    one map from the best labeling to every other labeling met with the same
+    code.  Every labeling with the best code that the search skips is the
+    image of one it met under a twin transposition, so no automorphism is
+    missing.
     """
     if n == 0:
-        return b"\x00\x00", ()
+        return b"\x00\x00", (), ()
     below = transpose(n, above)
-    refined = refine_colors(n, above, below, colors)
+    refined = refine_colors(n, above, below)
     swap = _swap_masks(n, above, below)
 
     by_color = {}
@@ -95,6 +101,13 @@ def canonical_labeling(n, above, colors=None):
     lab = [0] * n
     best = None
     best_lab = None
+    autos = []
+    for x in range(n):
+        y = (swap[x] & -swap[x]).bit_length() - 1
+        if 0 <= y < x:  # twins form classes; a star on each class suffices
+            g = list(range(n))
+            g[x], g[y] = y, x
+            autos.append(tuple(g))
 
     # Invariant: `eq` iff best exists and chunks[:k] == best[:k]; whenever a
     # subtree finds a strictly smaller prefix, the stale best is dropped and
@@ -102,7 +115,12 @@ def canonical_labeling(n, above, colors=None):
     def descend(k, used, eq):
         nonlocal best, best_lab
         if k == n:
-            if not eq:
+            if eq:
+                g = [0] * n
+                for i in range(n):
+                    g[best_lab[i]] = lab[i]
+                autos.append(tuple(g))
+            else:
                 best = chunks[:]
                 best_lab = lab[:]
             return
@@ -140,15 +158,13 @@ def canonical_labeling(n, above, colors=None):
     descend(0, 0, False)
 
     width = (2 * n + 7) // 8
-    parts = [bytes([n, 1 if colors is not None else 0])]
-    if colors is not None:
-        parts.append(bytes(colors[e] & 0xFF for e in best_lab))
+    parts = [bytes([n, 0])]
     for c in best:
         parts.append(c.to_bytes(width, "little"))
     perm = [0] * n
     for pos, e in enumerate(best_lab):
         perm[e] = pos
-    return b"".join(parts), tuple(perm)
+    return b"".join(parts), tuple(perm), tuple(autos)
 
 
 def canonical_maximal_position(n, above, perm):

@@ -647,12 +647,20 @@ def map_from_json_dict(data, budget=None):
         source = from_json_dict(data["source"], budget)
         target = from_json_dict(data["target"], budget)
         items = dict(data["table"])
-        role = str(data["role"])
-    except (KeyError, TypeError) as exc:
+        role = data["role"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise AxiomViolation("json-shape", str(exc)) from None
+    if role not in ROLES:
+        raise AxiomViolation("map-role", role)
     table = [None] * source.n
     for a, b in items.items():
-        table[source.index_of(a)] = target.index_of(b)
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise AxiomViolation("json-shape",
+                                 f"table entry {(a, b)!r} names a non-string")
+        try:
+            table[source.index_of(a)] = target.index_of(b)
+        except KeyError:
+            raise AxiomViolation("element-range", (a, b)) from None
     if any(v is None for v in table):
         raise AxiomViolation("table-total", tuple(items))
     return validate_map(source, target, table, role)

@@ -112,7 +112,8 @@ _BUILDERS = {
 
 def _cmd_build(args):
     parse, build = _BUILDERS[args.kind]
-    g = build(parse(_load_json(args.file)), budget=args.budget)
+    g = build(parse(_load_json(args.file), budget=args.budget),
+              budget=args.budget)
     print(f"chainmail with {g.n} elements")
     if args.out:
         _write_or_print(json.dumps(to_json_dict(g.poset), indent=2), args.out)

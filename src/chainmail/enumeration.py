@@ -17,17 +17,17 @@ used for pruning.
 import json
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 
 from . import config
-from .canonical import canonical_labeling, canonical_maximal_position
+from .canonical import canonical_maximal_position, iter_bits
 from .errors import AxiomViolation, NotAChainmail, SizeBudgetExceeded
 from .mails import as_chainmail, iter_td_masks
 from .poset import Poset, to_dot
 
 FILTERS = ("all-posets", "chainmails", "mail-connected-chainmails")
 
-_SPLIT_SIZE = 4  # seed size at which the tree is handed to workers
+_SPLIT_SIZE = 5  # seed size at which the tree is handed to workers
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,35 @@ def _down_closed_masks(p):
     return [m for m in range(1 << p.n) if p.is_down_closed(m)]
 
 
+def _orbit(gens, mask):
+    """Every image of the element set ``mask`` under the group ``gens`` span."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        bits = list(iter_bits(stack.pop()))
+        for g in gens:
+            image = 0
+            for i in bits:
+                image |= 1 << g[i]
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
+
+
 def _downset_orbit_reps(p):
-    """One down-closed subset per automorphism orbit of the parent."""
+    """The least down-closed subset of each automorphism orbit, ascending.
+
+    Orbits are closed under the generators :meth:`Poset.automorphisms`
+    returns, acting on bits; no labeling beyond the parent's own is run.
+    """
+    gens = p.automorphisms()
     reps = []
     seen = set()
     for mask in _down_closed_masks(p):
-        colors = [(mask >> i) & 1 for i in range(p.n)]
-        code, _ = canonical_labeling(p.n, p.above, colors)
-        if code not in seen:
-            seen.add(code)
+        if mask not in seen:
             reps.append(mask)
+            seen |= _orbit(gens, mask)
     return reps
 
 
@@ -95,7 +114,8 @@ def _accepted(child):
     The new element sits at the last index and is maximal; it survives
     when it lies in the same automorphism orbit as the element occupying
     the canonically distinguished maximal position, which the code of
-    the child determines without reference to labels.
+    the child determines without reference to labels.  The orbit is
+    closed under the generators from the child's one labeling.
     """
     n = child.n
     code, perm = child.canonical()
@@ -104,12 +124,7 @@ def _accepted(child):
     if perm[z] == pos:
         return True
     w = perm.index(pos)
-    mark_z = [0] * n
-    mark_z[z] = 1
-    mark_w = [0] * n
-    mark_w[w] = 1
-    return (canonical_labeling(n, child.above, mark_z)[0]
-            == canonical_labeling(n, child.above, mark_w)[0])
+    return (1 << z) in _orbit(child.automorphisms(), 1 << w)
 
 
 def _walk(p, n):
@@ -164,25 +179,31 @@ def _passes(p, which):
 
 
 def _count_subtrees(args):
-    """Pool worker: the passing descendants of a stripe of seeds, as rows."""
-    above_rows, n, which = args
+    """Pool worker: the passing proper descendants of one seed, as rows."""
+    rows, n, which = args
+    seed = Poset(rows)
     out = []
-    for rows in above_rows:
-        seed = Poset(rows)
-        for dmask in _downset_orbit_reps(seed):
-            child = _extend(seed, dmask)
-            if _accepted(child):
-                out.extend(q.above for q in _walk(child, n)
-                           if _passes(q, which))
+    for dmask in _downset_orbit_reps(seed):
+        child = _extend(seed, dmask)
+        if _accepted(child):
+            out.extend(q.above for q in _walk(child, n) if _passes(q, which))
     return out
+
+
+def _pool_context():
+    """Fork where the platform has it, so workers start from this process."""
+    if "fork" in get_all_start_methods():
+        return get_context("fork")
+    return get_context()
 
 
 def _passing(task):
     """Every visited poset up to ``task.size`` that passes the filter.
 
-    With one job, or below the split size, this is one serial walk.
-    Otherwise the walk stops at the split size and the seeds there are
-    striped over the pool, whose posets stream back a stripe at a time.
+    With one job, or up to the split size, this is one serial walk.
+    Otherwise the walk stops at the split size and each seed there is
+    one pool task; subtrees differ widely in size, so tasks are handed
+    out one at a time and their posets stream back as each finishes.
     """
     if task.jobs == 1 or task.size <= _SPLIT_SIZE:
         for p in _walk_from_unit(task.size):
@@ -194,12 +215,10 @@ def _passing(task):
         if _passes(p, task.filter):
             yield p
         if p.n == _SPLIT_SIZE:
-            seeds.append(p.above)
-    chunks = [(seeds[w::task.jobs], task.size, task.filter)
-              for w in range(task.jobs)]
+            seeds.append((p.above, task.size, task.filter))
     workers = min(task.jobs, len(seeds), os.cpu_count() or 1)
-    with get_context("fork").Pool(workers) as pool:
-        for part in pool.imap(_count_subtrees, chunks):
+    with _pool_context().Pool(workers) as pool:
+        for part in pool.imap_unordered(_count_subtrees, seeds):
             for rows in part:
                 yield Poset(rows)
 

@@ -33,7 +33,7 @@ class Poset:
     anything that arrives from outside the package.
     """
 
-    __slots__ = ("n", "above", "below", "labels", "_code", "_perm")
+    __slots__ = ("n", "above", "below", "labels", "_code", "_perm", "_autos")
 
     def __init__(self, above, labels=None):
         self.n = len(above)
@@ -48,6 +48,7 @@ class Poset:
         self.labels = labels
         self._code = None
         self._perm = None
+        self._autos = None
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={self.covers()})"
@@ -182,8 +183,18 @@ class Poset:
     def canonical(self):
         """(code, perm) where perm maps old index -> canonical position."""
         if self._code is None:
-            self._code, self._perm = canonical_labeling(self.n, self.above)
+            self._code, self._perm, self._autos = canonical_labeling(
+                self.n, self.above)
         return self._code, self._perm
+
+    def automorphisms(self):
+        """Generators of the automorphism group; ``g[i]`` is the image of i.
+
+        They come from the same search as :meth:`canonical`, and are cached
+        with its result.
+        """
+        self.canonical()
+        return self._autos
 
 
 def validate_poset(size, pairs, mode="covers", labels=None, budget=None):
@@ -338,11 +349,17 @@ def to_json_dict(p):
 
 def from_json_dict(data, budget=None):
     try:
-        elements = list(data["elements"])
-        cover_items = list(data["covers"])
+        names = data["elements"]
+        cover_items = data["covers"]
     except (KeyError, TypeError) as exc:
         raise AxiomViolation("json-shape", str(exc)) from None
-    names = [str(x) for x in elements]
+    if not isinstance(names, (list, tuple)) \
+            or not isinstance(cover_items, (list, tuple)):
+        raise AxiomViolation("json-shape", "elements and covers are lists")
+    for name in names:
+        if not isinstance(name, str):
+            raise AxiomViolation("json-shape",
+                                 f"element {name!r} is not a string")
     if len(set(names)) != len(names):
         raise AxiomViolation("label-distinctness", names)
     index = {name: i for i, name in enumerate(names)}
@@ -350,7 +367,10 @@ def from_json_dict(data, budget=None):
     for item in cover_items:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise AxiomViolation("json-shape", f"cover {item!r} is not a pair")
-        a, b = str(item[0]), str(item[1])
+        a, b = item
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise AxiomViolation("json-shape",
+                                 f"cover {item!r} names a non-string")
         if a not in index or b not in index:
             raise AxiomViolation("element-range", (a, b))
         pairs.append((index[a], index[b]))

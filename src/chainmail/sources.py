@@ -580,15 +580,35 @@ def search_connectivity_representation(g, max_points, budget=None):
 
 # -- interchange ---------------------------------------------------------------
 
+def _from_json(kind, data, size_key, family_key, what, budget):
+    """Build ``kind(size, family)`` from JSON, checked before it is built.
+
+    Sizes and members must be JSON integers, and the size must fit the
+    ground budget, so no input can make the constructor allocate a mask
+    of arbitrary width.
+    """
+    try:
+        size = data[size_key]
+        family = [tuple(member) for member in data[family_key]]
+    except (KeyError, TypeError) as exc:
+        raise AxiomViolation("json-shape", str(exc)) from None
+    for x in [size] + [x for member in family for x in member]:
+        if type(x) is not int:
+            raise AxiomViolation("json-shape", f"{x!r} is not an integer")
+    _check_ground(what, size, budget)
+    try:
+        return kind(size, family)
+    except ValueError as exc:  # a graph edge that is not a pair
+        raise AxiomViolation("json-shape", str(exc)) from None
+
+
 def graph_to_json_dict(g):
     return {"vertices": g.vertices, "edges": [list(e) for e in g.edges]}
 
 
-def graph_from_json_dict(data):
-    try:
-        return Graph(data["vertices"], [tuple(e) for e in data["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AxiomViolation("json-shape", str(exc)) from None
+def graph_from_json_dict(data, budget=None):
+    return _from_json(Graph, data, "vertices", "edges", "graph vertices",
+                      budget)
 
 
 def hypergraph_to_json_dict(h):
@@ -596,33 +616,24 @@ def hypergraph_to_json_dict(h):
             "hyperedges": [list(e) for e in h.hyperedges]}
 
 
-def hypergraph_from_json_dict(data):
-    try:
-        return Hypergraph(data["vertices"],
-                          [tuple(e) for e in data["hyperedges"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AxiomViolation("json-shape", str(exc)) from None
+def hypergraph_from_json_dict(data, budget=None):
+    return _from_json(Hypergraph, data, "vertices", "hyperedges",
+                      "hypergraph vertices", budget)
 
 
 def topology_to_json_dict(t):
     return {"points": t.points, "opens": [list(o) for o in t.opens]}
 
 
-def topology_from_json_dict(data):
-    try:
-        return FiniteTopology(data["points"],
-                              [tuple(o) for o in data["opens"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AxiomViolation("json-shape", str(exc)) from None
+def topology_from_json_dict(data, budget=None):
+    return _from_json(FiniteTopology, data, "points", "opens",
+                      "topology points", budget)
 
 
 def connectivity_space_to_json_dict(s):
     return {"points": s.points, "connected": [list(c) for c in s.connected]}
 
 
-def connectivity_space_from_json_dict(data):
-    try:
-        return ConnectivitySpace(data["points"],
-                                 [tuple(c) for c in data["connected"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AxiomViolation("json-shape", str(exc)) from None
+def connectivity_space_from_json_dict(data, budget=None):
+    return _from_json(ConnectivitySpace, data, "points", "connected",
+                      "connectivity space points", budget)

@@ -68,6 +68,34 @@ def min_perm_code(n, rows):
     return best
 
 
+def automorphisms(n, rows):
+    """Every permutation g (g[i] = image of i) with i <= j iff g[i] <= g[j].
+
+    Images are assigned in index order and a partial map is dropped as
+    soon as one assigned pair disagrees; the result is the whole group.
+    """
+    out = []
+    g = [0] * n
+
+    def leq(i, j):
+        return (rows[i] >> j) & 1
+
+    def extend(k, free):
+        if k == n:
+            out.append(tuple(g))
+            return
+        for y in range(n):
+            if not (free >> y) & 1:
+                continue
+            if all(leq(k, j) == leq(y, g[j]) and leq(j, k) == leq(g[j], y)
+                   for j in range(k)):
+                g[k] = y
+                extend(k + 1, free & ~(1 << y))
+
+    extend(0, (1 << n) - 1)
+    return out
+
+
 def unlabeled_poset_codes(n):
     return {min_perm_code(n, rows) for rows in labeled_posets(n)}
 

@@ -582,3 +582,28 @@ def test_map_json_bad_shape(b2):
     with pytest.raises(AxiomViolation) as e:
         map_from_json_dict({"role": "monotone"})
     assert e.value.axiom == "json-shape"
+
+
+@pytest.mark.parametrize("table,axiom", [
+    (lambda key: [["a", "b", "c"]], "json-shape"),
+    (lambda key: [["a"]], "json-shape"),
+    (lambda key: "ab", "json-shape"),
+    (lambda key: {key: 5}, "json-shape"),
+    (lambda key: {key: "zz"}, "element-range"),
+    (lambda key: {"zz": key}, "element-range"),
+])
+def test_map_json_bad_table(b2, table, axiom):
+    data = map_to_json_dict(identity_map(b2, "connectivity-hom"))
+    data["table"] = table(next(iter(data["table"])))
+    with pytest.raises(AxiomViolation) as e:
+        map_from_json_dict(data)
+    assert e.value.axiom == axiom
+
+
+@pytest.mark.parametrize("role", [None, "isomorphism", ["monotone"]])
+def test_map_json_unknown_role(b2, role):
+    data = map_to_json_dict(identity_map(b2, "connectivity-hom"))
+    data["role"] = role
+    with pytest.raises(AxiomViolation) as e:
+        map_from_json_dict(data)
+    assert e.value.axiom == "map-role"

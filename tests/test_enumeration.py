@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from chainmail import enumeration
+from chainmail.canonical import canonical_maximal_position
 from chainmail.enumeration import (
     FILTERS,
     EnumerationTask,
@@ -89,15 +90,16 @@ def test_pool_workers_are_capped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, chunks):
-            return map(fn, chunks)
+        def imap_unordered(self, fn, tasks):
+            return map(fn, tasks)
 
     class Context:
         Pool = SerialPool
 
-    monkeypatch.setattr(enumeration, "get_context", lambda method: Context())
+    monkeypatch.setattr(enumeration, "get_context",
+                        lambda method=None: Context())
     single = count_chainmails(EnumerationTask(6))
-    seeds = len(list(enumerate_posets(4)))
+    seeds = len(list(enumerate_posets(5)))
     for cpus, jobs, want in ((3, 2, 2), (3, 64, 3), (None, 64, 1),
                              (100, 64, seeds)):
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
@@ -182,8 +184,8 @@ def test_catalog_reruns_identically(tmp_path):
 
 
 def test_catalog_worker_independence(tmp_path):
-    task1 = EnumerationTask(5)
-    task2 = EnumerationTask(5, jobs=2)
+    task1 = EnumerationTask(6)
+    task2 = EnumerationTask(6, jobs=2)
     first = emit_catalog(task1, tmp_path / "j1")
     second = emit_catalog(task2, tmp_path / "j2")
     assert [(e.code, e.filename) for e in first] \
@@ -198,3 +200,63 @@ def test_generation_order_does_not_matter(monkeypatch):
     monkeypatch.setattr(enumeration, "_downset_orbit_reps",
                         lambda p: list(reversed(original(p))))
     assert codes_of(4) == baseline
+
+
+# -- automorphism groups against the brute-force oracle -------------------------
+
+def _closure(n, gens):
+    """Every product of the generators, as permutation tuples."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        h = frontier.pop()
+        for g in gens:
+            gh = tuple(g[h[i]] for i in range(n))
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+def _image(g, mask):
+    return sum(1 << g[i] for i in range(len(g)) if (mask >> i) & 1)
+
+
+def test_automorphism_generators_match_oracle():
+    """Up to size 6, in two labelings each, the generators preserve the
+    order and generate exactly the brute-force automorphism group."""
+    for p in enumeration.posets_up_to(6):
+        for q in (p, p.relabel([p.n - 1 - i for i in range(p.n)])):
+            gens = q.automorphisms()
+            for g in gens:
+                assert all(_image(g, q.above[i]) == q.above[g[i]]
+                           for i in range(q.n))
+            assert _closure(q.n, gens) == set(oracles.automorphisms(
+                q.n, q.above))
+
+
+def test_downset_orbit_reps_match_oracle():
+    """One down-set per brute-force orbit, the least one, ascending."""
+    for p in enumeration.posets_up_to(6):
+        group = oracles.automorphisms(p.n, p.above)
+        least = {min(_image(g, m) for g in group)
+                 for m in oracles.downset_masks(p.n, p.above)}
+        reps = enumeration._downset_orbit_reps(p)
+        assert reps == sorted(least)
+
+
+def test_acceptance_matches_oracle_orbit():
+    """Every child generated up to size 6 is kept iff some automorphism
+    maps its canonically distinguished maximal element to the new one."""
+    kept = 0
+    for p in enumeration.posets_up_to(5):
+        for dmask in enumeration._downset_orbit_reps(p):
+            child = enumeration._extend(p, dmask)
+            n = child.n
+            perm = child.canonical()[1]
+            w = perm.index(canonical_maximal_position(n, child.above, perm))
+            want = any(g[w] == n - 1
+                       for g in oracles.automorphisms(n, child.above))
+            assert enumeration._accepted(child) == want
+            kept += want
+    assert kept == sum(1 for _ in enumeration.posets_up_to(6)) - 1

@@ -274,6 +274,19 @@ def test_json_unknown_cover_name():
     assert e.value.axiom == "element-range"
 
 
+@pytest.mark.parametrize("data", [
+    {"elements": [1, 2], "covers": []},
+    {"elements": ["1", "2"], "covers": [[1, 2]]},
+    {"elements": ["a", "b"], "covers": [["a", None]]},
+    {"elements": "ab", "covers": []},
+    {"elements": ["a", "b"], "covers": {"a": "b"}},
+])
+def test_json_rejects_non_string_names(data):
+    with pytest.raises(AxiomViolation) as e:
+        from_json_dict(data)
+    assert e.value.axiom == "json-shape"
+
+
 def test_json_duplicate_names():
     with pytest.raises(AxiomViolation):
         from_json_dict({"elements": ["a", "a"], "covers": []})

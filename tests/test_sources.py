@@ -392,3 +392,44 @@ def test_connectivity_space_json_roundtrip():
         connectivity_space_to_json_dict(s)) == s
     with pytest.raises(AxiomViolation):
         connectivity_space_from_json_dict({"points": 1})
+
+
+_LOADERS = [
+    (graph_from_json_dict, "vertices", "edges"),
+    (hypergraph_from_json_dict, "vertices", "hyperedges"),
+    (topology_from_json_dict, "points", "opens"),
+    (connectivity_space_from_json_dict, "points", "connected"),
+]
+
+
+@pytest.mark.parametrize("load,size_key,family_key", _LOADERS)
+@pytest.mark.parametrize("size,family", [
+    (float("inf"), []),
+    (2.0, [[]]),
+    (True, [[]]),
+    ("2", [[]]),
+    (2, [[0, 1.0]]),
+    (2, [[0, "1"]]),
+    (2, [[None]]),
+    (2, 5),
+])
+def test_source_json_rejects_non_integers(load, size_key, family_key, size,
+                                          family):
+    with pytest.raises(AxiomViolation) as e:
+        load({size_key: size, family_key: family})
+    assert e.value.axiom == "json-shape"
+
+
+@pytest.mark.parametrize("load,size_key,family_key", _LOADERS)
+def test_source_json_checks_size_before_building(load, size_key, family_key):
+    """A huge count is refused before any mask of that width exists."""
+    with pytest.raises(SizeBudgetExceeded):
+        load({size_key: 10 ** 9, family_key: [[]]})
+    with pytest.raises(SizeBudgetExceeded):
+        load({size_key: 3, family_key: []}, budget=2)
+
+
+def test_graph_json_edge_not_a_pair():
+    with pytest.raises(AxiomViolation) as e:
+        graph_from_json_dict({"vertices": 3, "edges": [[0, 1, 2]]})
+    assert e.value.axiom == "json-shape"
