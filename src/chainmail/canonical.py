@@ -13,6 +13,8 @@ index -> canonical position; an automorphism maps index -> image.
 
 from itertools import combinations
 
+from .errors import SizeBudgetExceeded
+
 
 def iter_bits(mask):
     """Yield the set bit positions of ``mask``, ascending."""
@@ -88,6 +90,8 @@ def canonical_labeling(n, above):
     """
     if n == 0:
         return b"\x00\x00", (), ()
+    if n > 255:  # the code's header holds n in one byte
+        raise SizeBudgetExceeded("canonical form", n, 255)
     below = transpose(n, above)
     refined = refine_colors(n, above, below)
     swap = _swap_masks(n, above, below)

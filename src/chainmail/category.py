@@ -23,24 +23,14 @@ from .errors import (
     AxiomViolation,
     JoinsNotPreserved,
     MailJoinNotPreserved,
+    NotAChainmail,
     NotJoinPreserving,
     NotMonotone,
     TheoremViolation,
 )
 from .lattice import CompleteLattice, as_complete_lattice, iter_separated_masks
-from .mails import (
-    Chainmail,
-    DLattice,
-    _generate_mask,
-    _x_star_mask,
-    as_chainmail,
-    d_lattice,
-)
+from .mails import Chainmail, DLattice, _x_star_mask, as_chainmail, d_lattice
 from .poset import Poset, from_json_dict, set_of, to_json_dict
-
-ROLES = ("monotone", "chainmail-morphism", "connectivity-hom",
-         "weak-connectivity-hom")
-
 
 @dataclass(frozen=True)
 class KChainmail:
@@ -116,17 +106,12 @@ def _check_monotone(sp, tp, table):
                 raise NotMonotone((i, j))
 
 
-def _mail_pairs(g):
-    """(i, j, join) for every 2-element mail {i, j} of g, i < j."""
-    return [(i, j, g.joins[i][j]) for i in range(g.n)
-            for j in iter_bits(g.overlap[i] & -(2 << i))]
-
-
 def _check_mail_joins(g1, g2, table):
-    joins2 = g2.joins
-    for i, j, join1 in _mail_pairs(g1):
-        if table[join1] != joins2[table[i]][table[j]]:
-            raise MailJoinNotPreserved((i, j))
+    joins1, joins2 = g1.joins, g2.joins
+    for i in range(g1.n):
+        for j in iter_bits(g1.overlap[i] & -(2 << i)):  # j > i
+            if table[joins1[i][j]] != joins2[table[i]][table[j]]:
+                raise MailJoinNotPreserved((i, j))
 
 
 def _check_join_preserving(l1, l2, table):
@@ -150,7 +135,8 @@ def _adjoint_table(table, l1, l2):
     return tuple(adj)
 
 
-def _check_adjoint_separated_joins(adj, l1, l2):
+def _check_adjoint_separated_joins(l1, l2, table):
+    adj = _adjoint_table(table, l1, l2)
     for s in iter_separated_masks(l2):
         lhs = adj[l2.join_mask(s)]
         rhs = l1.bottom
@@ -160,23 +146,50 @@ def _check_adjoint_separated_joins(adj, l1, l2):
             raise AdjointFailsSeparatedJoins(set_of(s))
 
 
+def _check_connected_image(l1, l2, table):
+    conn2 = l2.connected_mask()
+    for c in iter_bits(l1.connected_mask()):
+        if not (conn2 >> table[c]) & 1:
+            raise AxiomViolation("connected-element-preservation", c)
+
+
+# role -> (the structure its maps run between, the laws it adds on top of
+# monotonicity, checked in order)
+_LAWS = {
+    "monotone": (carrier_poset, ()),
+    "chainmail-morphism": (_chainmail_structure, (_check_mail_joins,)),
+    "connectivity-hom": (_lattice_structure, (
+        _check_join_preserving, _check_adjoint_separated_joins)),
+    "weak-connectivity-hom": (_lattice_structure, (
+        _check_join_preserving, _check_connected_image)),
+}
+ROLES = tuple(_LAWS)
+_LAW_ERRORS = (AxiomViolation, NotMonotone, MailJoinNotPreserved,
+               JoinsNotPreserved, AdjointFailsSeparatedJoins)
+
+
+def _holds(law, source, target, table):
+    try:
+        law(source, target, table)
+    except _LAW_ERRORS:
+        return False
+    return True
+
+
 def validate_map(source, target, table, role):
     """Build a PosetMap, checking the laws the role demands.
 
     Raw Posets are wrapped in the structure the role needs (chainmail or
     lattice); richer objects are kept as given.
     """
-    if role not in ROLES:
-        raise ValueError(f"unknown role: {role!r}")
-    if role == "chainmail-morphism":
-        src, tgt = _chainmail_structure(source), _chainmail_structure(target)
-        source = src if isinstance(source, Poset) else source
-        target = tgt if isinstance(target, Poset) else target
-    elif role in ("connectivity-hom", "weak-connectivity-hom"):
-        src, tgt = _lattice_structure(source), _lattice_structure(target)
-        source = src if isinstance(source, Poset) else source
-        target = tgt if isinstance(target, Poset) else target
-    sp, tp = carrier_poset(source), carrier_poset(target)
+    try:
+        structure, laws = _LAWS[role]
+    except KeyError:
+        raise ValueError(f"unknown role: {role!r}") from None
+    src, tgt = structure(source), structure(target)
+    source = src if isinstance(source, Poset) else source
+    target = tgt if isinstance(target, Poset) else target
+    sp, tp = carrier_poset(src), carrier_poset(tgt)
     table = tuple(int(v) for v in table)
     if len(table) != sp.n:
         raise AxiomViolation("table-total", (len(table), sp.n))
@@ -184,18 +197,8 @@ def validate_map(source, target, table, role):
         if not 0 <= v < tp.n:
             raise AxiomViolation("table-range", (i, v))
     _check_monotone(sp, tp, table)
-    if role == "chainmail-morphism":
-        _check_mail_joins(src, tgt, table)
-    elif role == "connectivity-hom":
-        _check_join_preserving(src, tgt, table)
-        adj = _adjoint_table(table, src, tgt)
-        _check_adjoint_separated_joins(adj, src, tgt)
-    elif role == "weak-connectivity-hom":
-        _check_join_preserving(src, tgt, table)
-        conn2 = tgt.connected_mask()
-        for c in iter_bits(src.connected_mask()):
-            if not (conn2 >> table[c]) & 1:
-                raise AxiomViolation("connected-element-preservation", c)
+    for law in laws:
+        law(src, tgt, table)
     return PosetMap(source, target, table, role)
 
 
@@ -250,18 +253,17 @@ def k_chainmail(lat):
     poset = Poset(above, labels)
     try:
         g = as_chainmail(poset)
-    except Exception as e:  # the theory says this cannot happen
-        raise TheoremViolation("k-not-a-chainmail", repr(e)) from None
+    except NotAChainmail as e:  # the theory says this cannot happen
+        raise TheoremViolation("k-not-a-chainmail", e.witness) from None
     return KChainmail(lat, g, tuple(elements))
 
 
 def k_on_morphism(f, k1=None, k2=None):
     """Restrict a (weak) connectivity homomorphism to connected elements."""
-    l1, l2 = _lattice_structure(f.source), _lattice_structure(f.target)
     if k1 is None:
-        k1 = k_chainmail(l1)
+        k1 = k_chainmail(_lattice_structure(f.source))
     if k2 is None:
-        k2 = k_chainmail(l2)
+        k2 = k_chainmail(_lattice_structure(f.target))
     pos2 = {e: i for i, e in enumerate(k2.elements)}
     table = []
     for e in k1.elements:
@@ -270,55 +272,42 @@ def k_on_morphism(f, k1=None, k2=None):
             raise TheoremViolation("connected-element-not-preserved", (e, v))
         table.append(pos2[v])
     try:
-        checked = validate_map(k1.chainmail, k2.chainmail, table,
-                               "chainmail-morphism")
-    except (NotMonotone, MailJoinNotPreserved) as e:
+        return validate_map(k1, k2, table, "chainmail-morphism")
+    except _LAW_ERRORS as e:
         raise TheoremViolation("k-morphism-laws", e.witness) from None
-    return PosetMap(k1, k2, checked.table, "chainmail-morphism")
 
 
-def d_on_morphism(m, d1=None, d2=None, cap=None):
+def d_on_morphism(m, d1=None, d2=None):
     """D of a chainmail morphism: a totally disconnected set maps to the
     join of the singletons of its images, i.e. to the maximal elements of
     the subchainmail generated by the image."""
-    g1 = _chainmail_structure(m.source)
-    g2 = _chainmail_structure(m.target)
     if d1 is None:
-        d1 = d_lattice(g1, cap)
+        d1 = d_lattice(_chainmail_structure(m.source))
     if d2 is None:
-        d2 = d_lattice(g2, cap)
+        d2 = d_lattice(_chainmail_structure(m.target))
     index2 = {mask: i for i, mask in enumerate(d2.td_sets)}
-    p2 = g2.poset
+    joins2 = d2.lattice.joins
+    singleton = [index2[1 << v] for v in m.table]
     table = []
     for mask in d1.td_sets:
-        img = 0
+        acc = d2.lattice.bottom
         for e in iter_bits(mask):
-            img |= 1 << m.table[e]
-        gen = _generate_mask(g2, img)
-        maximal = 0
-        for e in iter_bits(gen):
-            if p2.above[e] & gen == 1 << e:
-                maximal |= 1 << e
-        try:
-            table.append(index2[maximal])
-        except KeyError:
-            raise TheoremViolation("d-morphism-image", set_of(mask)) from None
+            acc = joins2[acc][singleton[e]]
+        table.append(acc)
     try:
-        checked = validate_map(d1.lattice, d2.lattice, table,
-                               "connectivity-hom")
-    except (NotMonotone, JoinsNotPreserved, AdjointFailsSeparatedJoins) as e:
+        return validate_map(d1, d2, table, "connectivity-hom")
+    except _LAW_ERRORS as e:
         raise TheoremViolation("d-morphism-laws", e.witness) from None
-    return PosetMap(d1, d2, checked.table, "connectivity-hom")
 
 
-def d_morphism_adjoint(m, d1=None, d2=None, cap=None):
+def d_morphism_adjoint(m, d1=None, d2=None):
     """The stated adjoint of D(m): D2 maps to (preimage of D2's down-set)*."""
     g1 = _chainmail_structure(m.source)
     g2 = _chainmail_structure(m.target)
     if d1 is None:
-        d1 = d_lattice(g1, cap)
+        d1 = d_lattice(g1)
     if d2 is None:
-        d2 = d_lattice(g2, cap)
+        d2 = d_lattice(g2)
     index1 = {mask: i for i, mask in enumerate(d1.td_sets)}
     p2 = g2.poset
     table = []
@@ -356,9 +345,9 @@ class CounitData:
     d: DLattice
 
 
-def unit_eta(g, d=None, cap=None):
+def unit_eta(g, d=None):
     if d is None:
-        d = d_lattice(g, cap)
+        d = d_lattice(g)
     k = k_chainmail(d.lattice)
     dindex = {mask: i for i, mask in enumerate(d.td_sets)}
     kpos = {e: i for i, e in enumerate(k.elements)}
@@ -376,15 +365,14 @@ def unit_eta(g, d=None, cap=None):
             if g.poset.leq(x, y) != kp.leq(table[x], table[y]):
                 raise TheoremViolation("unit-not-order-iso", (x, y))
     try:
-        checked = validate_map(g, k.chainmail, table, "chainmail-morphism")
-    except (NotMonotone, MailJoinNotPreserved) as e:
+        return UnitData(validate_map(g, k, table, "chainmail-morphism"), d, k)
+    except _LAW_ERRORS as e:
         raise TheoremViolation("unit-laws", e.witness) from None
-    return UnitData(PosetMap(g, k, checked.table, "chainmail-morphism"), d, k)
 
 
-def counit_epsilon(lat, cap=None):
+def counit_epsilon(lat):
     k = k_chainmail(lat)
-    d = d_lattice(k.chainmail, cap)
+    d = d_lattice(k.chainmail)
     table = []
     for mask in d.td_sets:
         acc = lat.bottom
@@ -404,19 +392,18 @@ def counit_epsilon(lat, cap=None):
         except KeyError:
             raise TheoremViolation("counit-adjoint-image", x) from None
     try:
-        checked = validate_map(d.lattice, lat, table, "connectivity-hom")
-    except (NotMonotone, JoinsNotPreserved, AdjointFailsSeparatedJoins) as e:
+        counit = validate_map(d, lat, table, "connectivity-hom")
+    except _LAW_ERRORS as e:
         raise TheoremViolation("counit-laws", e.witness) from None
     if tuple(adj) != _adjoint_table(table, d.lattice, lat):
         raise TheoremViolation("counit-adjoint-formula", tuple(adj))
     if len(set(table)) != len(table):
         raise TheoremViolation("counit-not-mono", tuple(table))
-    return CounitData(PosetMap(d, lat, checked.table, "connectivity-hom"),
-                      PosetMap(lat, d, tuple(adj), "monotone"), k, d)
+    return CounitData(counit, PosetMap(lat, d, tuple(adj), "monotone"), k, d)
 
 
-def is_epsilon_iso(lat, cap=None):
-    cd = counit_epsilon(lat, cap)
+def is_epsilon_iso(lat):
+    cd = counit_epsilon(lat)
     table = cd.map.table
     if len(set(table)) != lat.n or len(table) != lat.n:
         return False
@@ -436,15 +423,15 @@ class TriangleReport:
     lattice_side: dict
 
 
-def check_triangle_identities(g, lat, cap=None):
+def check_triangle_identities(g, lat):
     """Both triangle identities, witnessed as inverse pairs of tables.
 
     On the chainmail side, D(unit) and the counit at D(g) must invert each
     other; on the lattice side, K(counit) and the unit at K(lat) must.
     """
-    ud = unit_eta(g, cap=cap)
-    dm = d_on_morphism(ud.map, d1=ud.d, d2=d_lattice(ud.k.chainmail, cap))
-    cd = counit_epsilon(ud.d.lattice, cap=cap)
+    ud = unit_eta(g)
+    cd = counit_epsilon(ud.d.lattice)
+    dm = d_on_morphism(ud.map, d1=ud.d, d2=cd.d)
     n1 = len(ud.d.td_sets)
     for i in range(n1):
         if cd.map.table[dm.table[i]] != i:
@@ -454,9 +441,9 @@ def check_triangle_identities(g, lat, cap=None):
             raise TheoremViolation("triangle-chainmail-side-inverse", j)
     chain_side = {"d-of-unit": dm.table, "counit-at-d": cd.map.table}
 
-    cl = counit_epsilon(lat, cap=cap)
-    ke = k_on_morphism(cl.map)
-    uk = unit_eta(cl.k.chainmail, cap=cap)
+    cl = counit_epsilon(lat)
+    uk = unit_eta(cl.k.chainmail, d=cl.d)
+    ke = k_on_morphism(cl.map, k1=uk.k, k2=cl.k)
     nk = len(cl.k.elements)
     for i in range(nk):
         if ke.table[uk.map.table[i]] != i:
@@ -473,17 +460,17 @@ class NaturalityReport:
     squares: dict
 
 
-def check_naturality(f, cap=None):
+def check_naturality(f):
     """Naturality of the unit (for a chainmail morphism) or of the counit
     in both direct and adjoint form (for a connectivity homomorphism)."""
     squares = {}
     if f.role == "chainmail-morphism":
         g1 = _chainmail_structure(f.source)
         g2 = _chainmail_structure(f.target)
-        u1 = unit_eta(g1, cap=cap)
-        u2 = unit_eta(g2, cap=cap)
+        u1 = unit_eta(g1)
+        u2 = unit_eta(g2)
         dm = d_on_morphism(f, d1=u1.d, d2=u2.d)
-        km = k_on_morphism(dm)
+        km = k_on_morphism(dm, k1=u1.k, k2=u2.k)
         for x in range(g1.n):
             if km.table[u1.map.table[x]] != u2.map.table[f.table[x]]:
                 raise TheoremViolation("unit-naturality", x)
@@ -492,8 +479,8 @@ def check_naturality(f, cap=None):
     if f.role in ("connectivity-hom", "weak-connectivity-hom"):
         l1 = _lattice_structure(f.source)
         l2 = _lattice_structure(f.target)
-        c1 = counit_epsilon(l1, cap=cap)
-        c2 = counit_epsilon(l2, cap=cap)
+        c1 = counit_epsilon(l1)
+        c2 = counit_epsilon(l2)
         kf = k_on_morphism(f, k1=c1.k, k2=c2.k)
         dkf = d_on_morphism(kf, d1=c1.d, d2=c2.d)
         for i in range(len(c1.d.td_sets)):
@@ -511,35 +498,19 @@ def check_naturality(f, cap=None):
 
 
 # -- hom-set enumeration -------------------------------------------------------
+#
+# Each enumerator filters its candidates through the role's own law checks.
 
 def monotone_tables(p1, p2):
     """All monotone tables p1 -> p2, brute force."""
-    if p1.n == 0:
-        yield ()
-        return
-    for table in product(range(p2.n), repeat=p1.n):
-        ok = True
-        for i in range(p1.n):
-            for j in iter_bits(p1.above[i]):
-                if not p2.leq(table[i], table[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield table
+    yield from (t for t in product(range(p2.n), repeat=p1.n)
+                if _holds(_check_monotone, p1, p2, t))
 
 
 def chainmail_morphism_tables(g1, g2):
     """All chainmail morphisms g1 -> g2, as tables."""
-    mail_pairs = _mail_pairs(g1)
-    joins2 = g2.joins
-    for table in monotone_tables(g1.poset, g2.poset):
-        for i, j, join1 in mail_pairs:
-            if table[join1] != joins2[table[i]][table[j]]:
-                break
-        else:
-            yield table
+    yield from (t for t in monotone_tables(g1.poset, g2.poset)
+                if _holds(_check_mail_joins, g1, g2, t))
 
 
 def join_preserving_tables(l1, l2):
@@ -551,8 +522,6 @@ def join_preserving_tables(l1, l2):
     enumeration honest.
     """
     n = l1.n
-    if n == 0:
-        return
     order = sorted(range(n), key=lambda i: (bin(l1.poset.below[i]).count("1"), i))
     decomp = {}
     for x in range(n):
@@ -572,18 +541,9 @@ def join_preserving_tables(l1, l2):
 
     table = [None] * n
 
-    def verify():
-        if table[l1.bottom] != l2.bottom:
-            return False
-        for x in range(n):
-            for y in range(x + 1, n):
-                if table[l1.joins[x][y]] != l2.joins[table[x]][table[y]]:
-                    return False
-        return True
-
     def assign(k):
         if k == len(order):
-            if verify():
+            if _holds(_check_join_preserving, l1, l2, table):
                 yield tuple(table)
             return
         x = order[k]
@@ -610,24 +570,11 @@ def join_preserving_tables(l1, l2):
 
 
 def connectivity_hom_tables(l1, l2, weak=False):
-    """All (weak) connectivity homomorphism tables l1 -> l2."""
-    conn2 = l2.connected_mask() if weak else 0
-    for table in join_preserving_tables(l1, l2):
-        if weak:
-            ok = True
-            for c in iter_bits(l1.connected_mask()):
-                if not (conn2 >> table[c]) & 1:
-                    ok = False
-                    break
-            if ok:
-                yield table
-            continue
-        adj = _adjoint_table(table, l1, l2)
-        try:
-            _check_adjoint_separated_joins(adj, l1, l2)
-        except AdjointFailsSeparatedJoins:
-            continue
-        yield table
+    """All (weak) connectivity homomorphism tables l1 -> l2: the
+    join-preserving ones that pass the role's remaining law."""
+    law = _check_connected_image if weak else _check_adjoint_separated_joins
+    yield from (t for t in join_preserving_tables(l1, l2)
+                if _holds(law, l1, l2, t))
 
 
 # -- interchange ---------------------------------------------------------------

@@ -392,7 +392,8 @@ def to_dot(p, name="poset"):
     """Hasse diagram in DOT, one edge per cover, ranked by height."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=ellipse];"]
     for i in range(p.n):
-        lines.append(f'  e{i} [label="{p.label_of(i)}"];')
+        label = p.label_of(i).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  e{i} [label="{label}"];')
     for a, b in p.covers():
         lines.append(f"  e{a} -> e{b};")
     h = heights(p)

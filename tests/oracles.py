@@ -136,6 +136,37 @@ def least_upper_bound(n, rows, mask):
     return None
 
 
+def d_image(g2, image_mask):
+    """D of a chainmail morphism at one totally disconnected set, from the
+    definitions: the maximal elements of the least down-closed set that
+    contains ``image_mask`` and the join of every mail inside it.
+
+    ``g2`` is read only for its size and its leq rows.
+    """
+    n, rows = g2.n, g2.poset.above
+    closed = image_mask
+    while True:
+        grown = closed
+        for u in range(n):
+            if any((rows[u] >> v) & 1 for v in range(n) if (closed >> v) & 1):
+                grown |= 1 << u
+        down = grown
+        sub = down
+        while sub:
+            if lower_bound_mask(n, rows, sub):
+                grown |= 1 << least_upper_bound(n, rows, sub)
+            sub = (sub - 1) & down
+        if grown == closed:
+            break
+        closed = grown
+    members = [u for u in range(n) if (closed >> u) & 1]
+    maximal = 0
+    for u in members:
+        if not any(v != u and (rows[u] >> v) & 1 for v in members):
+            maximal |= 1 << u
+    return maximal
+
+
 def is_chainmail_every_mail(n, rows):
     """The full definition: each nonempty lower-bounded subset has a join."""
     for mask in range(1, 1 << n):

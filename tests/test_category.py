@@ -4,10 +4,13 @@ import itertools
 
 import pytest
 
+import oracles
+
 from chainmail.category import (
     KChainmail,
     PosetMap,
     ROLES,
+    carrier_poset,
     chainmail_morphism_tables,
     check_naturality,
     check_triangle_identities,
@@ -32,6 +35,7 @@ from chainmail.enumeration import enumerate_posets
 from chainmail.errors import (
     AdjointFailsSeparatedJoins,
     AxiomViolation,
+    ChainmailError,
     JoinsNotPreserved,
     MailJoinNotPreserved,
     NotALattice,
@@ -56,6 +60,26 @@ def mk_poset(size, covers):
 
 def mk_lattice(size, covers):
     return as_complete_lattice(mk_poset(size, covers))
+
+
+def chainmails_up_to(n):
+    """Every chainmail with at most n elements, the empty one first."""
+    gs = [as_chainmail(mk_poset(0, []))]
+    for size in range(1, n + 1):
+        gs.extend(as_chainmail(p) for p in enumerate_posets(size)
+                  if poset_is_chainmail(p))
+    return gs
+
+
+def lattices_up_to(n):
+    out = []
+    for size in range(1, n + 1):
+        for p in enumerate_posets(size):
+            try:
+                out.append(as_complete_lattice(p))
+            except NotALattice:
+                continue
+    return out
 
 
 @pytest.fixture
@@ -375,6 +399,25 @@ def test_d_adjoint_agrees_with_right_adjoint():
                 assert stated.table == computed.table
 
 
+def test_d_on_morphism_matches_oracle():
+    """D(m) sends a totally disconnected set to the maximal elements of the
+    subchainmail its image generates, for every morphism with n<=3."""
+    gs = chainmails_up_to(3)
+    for g1 in gs:
+        d1 = d_lattice(g1)
+        for g2 in gs:
+            d2 = d_lattice(g2)
+            for table in chainmail_morphism_tables(g1, g2):
+                m = PosetMap(g1, g2, table, "chainmail-morphism")
+                df = d_on_morphism(m, d1=d1, d2=d2)
+                for i, mask in enumerate(d1.td_sets):
+                    image = 0
+                    for e in set_of(mask):
+                        image |= 1 << table[e]
+                    assert d2.td_sets[df.table[i]] == \
+                        oracles.d_image(g2, image)
+
+
 # -- unit and counit -------------------------------------------------------------
 
 def test_unit_on_counterexample(counterexample):
@@ -523,6 +566,49 @@ def test_hom_enumeration_basics(b2):
     # deterministic ordering on repeat runs
     first = list(connectivity_hom_tables(b2, b2))
     assert first == list(connectivity_hom_tables(b2, b2))
+
+
+def accepted_tables(source, target, role):
+    """Every table source -> target that validate_map accepts at role."""
+    n1, n2 = (carrier_poset(x).n for x in (source, target))
+    out = []
+    for table in itertools.product(range(n2), repeat=n1):
+        try:
+            validate_map(source, target, table, role)
+        except ChainmailError:
+            continue
+        out.append(table)
+    return out
+
+
+def preserves_joins(l1, l2, table):
+    try:
+        right_adjoint(PosetMap(l1, l2, table, "monotone"))
+    except NotJoinPreserving:
+        return False
+    return True
+
+
+def test_enumerators_match_brute_force():
+    """Each enumerator yields, once each, exactly the tables whose role
+    laws validate_map accepts: chainmails n<=3 and lattices n<=4."""
+    gs = chainmails_up_to(3)
+    for g1 in gs:
+        for g2 in gs:
+            assert sorted(monotone_tables(g1.poset, g2.poset)) == \
+                accepted_tables(g1.poset, g2.poset, "monotone")
+            assert sorted(chainmail_morphism_tables(g1, g2)) == \
+                accepted_tables(g1, g2, "chainmail-morphism")
+    lats = lattices_up_to(4)
+    for l1 in lats:
+        for l2 in lats:
+            assert sorted(join_preserving_tables(l1, l2)) == [
+                t for t in itertools.product(range(l2.n), repeat=l1.n)
+                if preserves_joins(l1, l2, t)]
+            assert sorted(connectivity_hom_tables(l1, l2)) == \
+                accepted_tables(l1, l2, "connectivity-hom")
+            assert sorted(connectivity_hom_tables(l1, l2, weak=True)) == \
+                accepted_tables(l1, l2, "weak-connectivity-hom")
 
 
 def test_hom_bijection_exhaustive():

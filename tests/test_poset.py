@@ -299,3 +299,19 @@ def test_dot_output(cx):
     assert text.count(" -> ") == len(covers(cx))
     for i in range(7):
         assert f'e{i} [label="{i + 1}"];' in text
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    p = from_json_dict({"elements": ['a"b', "c\\"], "covers": [['a"b', "c\\"]]})
+    text = to_dot(p)
+    assert 'e0 [label="a\\"b"];' in text
+    assert 'e1 [label="c\\\\"];' in text
+
+
+def test_canonical_form_past_one_byte_of_size():
+    with pytest.raises(SizeBudgetExceeded) as e:
+        canonical_form(Poset([1 << i for i in range(256)]))
+    assert (e.value.what, e.value.size, e.value.budget) == \
+        ("canonical form", 256, 255)
+    code, _ = canonical_form(Poset([1 << i for i in range(255)]))
+    assert code[0] == 255

@@ -89,8 +89,8 @@ def test_counit_mutation_is_caught(monkeypatch):
     """A transposed-entry counit makes the hom bijection checks fail."""
     real = category.counit_epsilon
 
-    def fake(lat, cap=None):
-        data = real(lat, cap)
+    def fake(lat):
+        data = real(lat)
         table = list(data.map.table)
         if len(table) >= 2:
             table[0], table[1] = table[1], table[0]
@@ -103,3 +103,25 @@ def test_counit_mutation_is_caught(monkeypatch):
     report = run_suite("adjunction", max_size=2)
     assert not report.ok()
     assert any("hom bijection" in v["law"] for v in report.violations)
+
+
+def _swap_first_two(real):
+    def fake(*args, **kwargs):
+        f = real(*args, **kwargs)
+        table = list(f.table)
+        if len(table) >= 2:
+            table[0], table[1] = table[1], table[0]
+        return dataclasses.replace(f, table=tuple(table))
+    return fake
+
+
+@pytest.mark.parametrize("name", ["d_on_morphism", "k_on_morphism"])
+def test_transpose_mutation_is_caught(monkeypatch, name):
+    """A transposed-entry D or K on morphisms breaks the hom bijection,
+    though each hom is transposed only once."""
+    monkeypatch.setattr(category, name,
+                        _swap_first_two(getattr(category, name)))
+    report = run_suite("adjunction", max_size=3)
+    assert not report.ok()
+    assert any(v["law"].startswith("hom bijection (")
+               for v in report.violations)
