@@ -15,7 +15,6 @@ rules out raise TheoremViolation instead of ordinary input errors.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .canonical import iter_bits
 from .errors import (
@@ -499,82 +498,108 @@ def check_naturality(f):
 
 # -- hom-set enumeration -------------------------------------------------------
 #
-# Each enumerator filters its candidates through the role's own law checks.
+# The four enumerators run one search, ``_tables``.  Only the strict
+# connectivity law, a global condition on the right adjoint, filters
+# finished tables.
+
+def _tables(p1, p2, joins1=None, joins2=None, allowed=None):
+    """Every monotone table p1 -> p2 with table[x] in the mask allowed[x]
+    that carries the partial pairwise-join table joins1 onto joins2.
+
+    Backtracks over a linear extension of p1.  The value of x lies above
+    the images of its lower covers.  Each incomparable pair (a, b) with a
+    defined join x is checked once, when x is assigned: the first such
+    pair fixes the value of x, every other one must agree, and an
+    undefined join of the images ends the branch.
+    """
+    n = p1.n
+    order = sorted(range(n), key=lambda x: (bin(p1.below[x]).count("1"), x))
+    full = p2.full_mask()
+    at = [[] for _ in range(n)]  # x -> the incomparable pairs joining to x
+    if joins1 is not None:
+        for a in range(n):
+            row = joins1[a]
+            for b in iter_bits(~(p1.above[a] | p1.below[a]) & -(2 << a)
+                               & p1.full_mask()):
+                if row[b] is not None:
+                    at[row[b]].append((a, b))
+    start, covers, pairs = [], [], []
+    for x in order:
+        strictly = p1.below[x] & ~(1 << x)
+        start.append(full if allowed is None else allowed[x])
+        covers.append([y for y in iter_bits(strictly)
+                       if p1.above[y] & strictly == 1 << y])
+        pairs.append(at[x])
+    above2 = p2.above
+    table = [0] * n
+
+    def options(k):
+        cand = start[k]
+        for y in covers[k]:
+            cand &= above2[table[y]]
+        fixed = None
+        for a, b in pairs[k]:
+            v = joins2[table[a]][table[b]]
+            if v is None or fixed is not None and v != fixed:
+                return 0
+            fixed = v
+        return cand if fixed is None else cand & (1 << fixed)
+
+    if n == 0:
+        yield ()
+        return
+    untried = [options(0)] + [0] * (n - 1)
+    k = 0
+    while k >= 0:
+        rest = untried[k]
+        if not rest:
+            k -= 1
+            continue
+        low = rest & -rest
+        untried[k] = rest ^ low
+        table[order[k]] = low.bit_length() - 1
+        if k == n - 1:
+            yield tuple(table)
+        else:
+            k += 1
+            untried[k] = options(k)
+
 
 def monotone_tables(p1, p2):
-    """All monotone tables p1 -> p2, brute force."""
-    yield from (t for t in product(range(p2.n), repeat=p1.n)
-                if _holds(_check_monotone, p1, p2, t))
+    """All monotone tables p1 -> p2."""
+    yield from _tables(p1, p2)
 
 
 def chainmail_morphism_tables(g1, g2):
     """All chainmail morphisms g1 -> g2, as tables."""
-    yield from (t for t in monotone_tables(g1.poset, g2.poset)
-                if _holds(_check_mail_joins, g1, g2, t))
+    yield from _tables(g1.poset, g2.poset, g1.joins, g2.joins)
 
 
 def join_preserving_tables(l1, l2):
-    """All join-preserving tables l1 -> l2.
-
-    Branch only at join-irreducible elements (in a linear-extension
-    order); every other element's value is forced by a decomposition into
-    two strictly smaller elements.  A final full filter keeps the
-    enumeration honest.
-    """
-    n = l1.n
-    order = sorted(range(n), key=lambda i: (bin(l1.poset.below[i]).count("1"), i))
-    decomp = {}
-    for x in range(n):
-        if x == l1.bottom:
-            continue
-        strictly = l1.poset.below[x] & ~(1 << x)
-        found = None
-        for a in iter_bits(strictly):
-            for b in iter_bits(strictly & ~((1 << (a + 1)) - 1)):
-                if l1.joins[a][b] == x:
-                    found = (a, b)
-                    break
-            if found:
-                break
-        if found:
-            decomp[x] = found
-
-    table = [None] * n
-
-    def assign(k):
-        if k == len(order):
-            if _holds(_check_join_preserving, l1, l2, table):
-                yield tuple(table)
-            return
-        x = order[k]
-        if x == l1.bottom:
-            table[x] = l2.bottom
-            yield from assign(k + 1)
-            table[x] = None
-            return
-        if x in decomp:
-            a, b = decomp[x]
-            table[x] = l2.joins[table[a]][table[b]]
-            yield from assign(k + 1)
-            table[x] = None
-            return
-        floor = l2.bottom
-        for y in iter_bits(l1.poset.below[x] & ~(1 << x)):
-            floor = l2.joins[floor][table[y]]
-        for v in iter_bits(l2.poset.above[floor]):
-            table[x] = v
-            yield from assign(k + 1)
-        table[x] = None
-
-    yield from assign(0)
+    """All join-preserving tables l1 -> l2: bottom goes to bottom, and the
+    join of each incomparable pair to the join of the pair's images."""
+    allowed = [l2.poset.full_mask()] * l1.n
+    allowed[l1.bottom] = 1 << l2.bottom
+    yield from _tables(l1.poset, l2.poset, l1.joins, l2.joins, allowed)
 
 
 def connectivity_hom_tables(l1, l2, weak=False):
-    """All (weak) connectivity homomorphism tables l1 -> l2: the
-    join-preserving ones that pass the role's remaining law."""
-    law = _check_connected_image if weak else _check_adjoint_separated_joins
-    yield from (t for t in join_preserving_tables(l1, l2)
-                if _holds(law, l1, l2, t))
+    """All (weak) connectivity homomorphism tables l1 -> l2.
+
+    Weak homs are the join-preserving tables that send connected elements
+    to connected elements, so the search draws those values from the
+    connected elements of l2.  Strict homs are the join-preserving tables
+    whose right adjoint preserves joins of separated sets.
+    """
+    if not weak:
+        yield from (t for t in join_preserving_tables(l1, l2)
+                    if _holds(_check_adjoint_separated_joins, l1, l2, t))
+        return
+    conn1, conn2 = l1.connected_mask(), l2.connected_mask()
+    allowed = [conn2 if conn1 >> x & 1 else l2.poset.full_mask()
+               for x in range(l1.n)]
+    allowed[l1.bottom] = 1 << l2.bottom
+    yield from _tables(l1.poset, l2.poset, l1.joins, l2.joins, allowed)
 
 
 # -- interchange ---------------------------------------------------------------

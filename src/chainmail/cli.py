@@ -135,6 +135,9 @@ def _cmd_verify(args):
 
 
 def _cmd_enumerate(args):
+    for flag, value in (("-n", args.n), ("--jobs", args.jobs)):
+        if value < 1:
+            return _usage(args, f"{flag} must be at least 1, got {value}")
     if args.n >= _STRETCH_FLOOR and not args.stretch:
         return _usage(args, f"-n {args.n} needs --stretch (sizes below "
                             f"{_STRETCH_FLOOR} run without it)")
@@ -152,6 +155,9 @@ def _cmd_enumerate(args):
 
 
 def _cmd_represent(args):
+    if args.max_points < 1:
+        return _usage(args, f"--max-points must be at least 1, "
+                            f"got {args.max_points}")
     g = as_chainmail(_load_poset(args.file, budget=args.budget))
     space = sources.search_connectivity_representation(
         g, args.max_points, budget=args.search_budget)

@@ -30,7 +30,7 @@ from .errors import (
     SizeBudgetExceeded,
     TheoremViolation,
 )
-from .poset import Poset, mask_of, set_of
+from .poset import Poset, components, iter_pairwise_masks, mask_of, set_of
 
 
 class CompleteLattice:
@@ -71,17 +71,8 @@ class CompleteLattice:
             out = self.joins[out][i]
         return out
 
-    def meet_set(self, members):
-        out = self.top
-        for i in members:
-            out = self.meets[out][i]
-        return out
-
     def join_mask(self, mask):
         return self.join_set(iter_bits(mask))
-
-    def meet_mask(self, mask):
-        return self.meet_set(iter_bits(mask))
 
     def disjointness(self):
         """disjointness()[i] = mask of j with meet(i, j) = bottom."""
@@ -157,67 +148,23 @@ def is_separated(lat, s):
 
 
 def iter_separated_masks(lat, candidates=None):
-    """Yield every separated subset of ``candidates`` as a bitmask.
-
-    Candidates default to all nonzero elements.  Subsets are emitted in
-    subset-of-candidates order (empty set first); each extends an earlier
-    one, which makes the family easy to cap while streaming.
-    """
+    """Every separated subset of ``candidates`` (default: all nonzero
+    elements) as a bitmask, in the order of :func:`iter_pairwise_masks`."""
     if candidates is None:
         candidates = lat.poset.full_mask() & ~(1 << lat.bottom)
     else:
         candidates &= ~(1 << lat.bottom)
-    disj = lat.disjointness()
-
-    def walk(cur, allowed):
-        yield cur
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            e = low.bit_length() - 1
-            rest ^= low
-            yield from walk(cur | low, rest & disj[e])
-
-    yield from walk(0, candidates)
-
-
-def is_chained(lat, c):
-    """Nonempty c whose meet-overlap graph is connected."""
-    members = list(frozenset(c))
-    if not members:
-        return False
-    seen = {members[0]}
-    frontier = [members[0]]
-    while frontier:
-        x = frontier.pop()
-        for y in members:
-            if y not in seen and lat.meets[x][y] != lat.bottom:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == len(members)
+    return iter_pairwise_masks(lat.disjointness(), candidates)
 
 
 def _chained_components(lat, mask):
     """Partition the elements of ``mask`` into maximal chained subsets."""
-    out = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        comp = low
-        frontier = [low.bit_length() - 1]
-        rest ^= low
-        while frontier:
-            x = frontier.pop()
-            found = 0
-            for y in iter_bits(rest):
-                if lat.meets[x][y] != lat.bottom:
-                    found |= 1 << y
-                    frontier.append(y)
-            comp |= found
-            rest &= ~found
-        out.append(comp)
-    out.sort()
-    return out
+    return components(tuple(~d for d in lat.disjointness()), mask)
+
+
+def is_chained(lat, c):
+    """Nonempty c whose meet-overlap graph is connected."""
+    return len(_chained_components(lat, mask_of(c))) == 1
 
 
 # -- the element conditions ---------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import (
     TheoremViolation,
 )
 from .lattice import CompleteLattice
-from .poset import Poset, mask_of, set_of
+from .poset import Poset, components, iter_pairwise_masks, mask_of, set_of
 
 
 class Chainmail:
@@ -44,24 +44,7 @@ class Chainmail:
 
     def components_of(self, mask):
         """Maximal mail-connected subsets of ``mask``, as sorted masks."""
-        overlap = self.overlap
-        out = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            comp = low
-            frontier = low
-            rest ^= low
-            while frontier:
-                grown = 0
-                for x in iter_bits(frontier):
-                    grown |= overlap[x] & rest
-                rest &= ~grown
-                comp |= grown
-                frontier = grown
-            out.append(comp)
-        out.sort()
-        return out
+        return components(self.overlap, mask)
 
     def mail_joins_within(self, mask):
         """Mask of the joins of the 2-element mails inside ``mask``."""
@@ -237,19 +220,8 @@ def _maximal_of(p, mask):
 
 def iter_td_masks(g):
     """All totally disconnected sets of ``g`` as bitmasks, by backtracking."""
-    overlap = g.overlap
-    full = g.poset.full_mask()
-
-    def walk(cur, allowed):
-        yield cur
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            e = low.bit_length() - 1
-            rest ^= low
-            yield from walk(cur | low, rest & ~overlap[e])
-
-    yield from walk(0, full)
+    return iter_pairwise_masks(tuple(~o for o in g.overlap),
+                               g.poset.full_mask())
 
 
 @dataclass(frozen=True)

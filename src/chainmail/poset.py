@@ -25,6 +25,49 @@ def set_of(mask):
     return frozenset(iter_bits(mask))
 
 
+def iter_pairwise_masks(beside, candidates):
+    """Every subset of ``candidates`` whose members are pairwise allowed
+    together, as a bitmask; ``beside[e]`` is the mask of elements allowed
+    together with e.
+
+    Subsets are emitted in subset-of-candidates order (empty set first);
+    each extends an earlier one, which makes the family easy to cap while
+    streaming.
+    """
+    def walk(cur, allowed):
+        yield cur
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            e = low.bit_length() - 1
+            rest ^= low
+            yield from walk(cur | low, rest & beside[e])
+
+    yield from walk(0, candidates)
+
+
+def components(touch, mask):
+    """Connected components of ``mask`` in the graph whose edges are given
+    by ``touch[x]``, the mask of elements touching x; as sorted masks."""
+    out = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        comp = low
+        frontier = low
+        rest ^= low
+        while frontier:
+            grown = 0
+            for x in iter_bits(frontier):
+                grown |= touch[x] & rest
+            rest &= ~grown
+            comp |= grown
+            frontier = grown
+        out.append(comp)
+    out.sort()
+    return out
+
+
 class Poset:
     """An immutable finite poset.
 
@@ -97,20 +140,6 @@ class Poset:
         out.sort()
         return out
 
-    def maximal_mask(self):
-        m = 0
-        for i in range(self.n):
-            if self.above[i] == 1 << i:
-                m |= 1 << i
-        return m
-
-    def minimal_mask(self):
-        m = 0
-        for i in range(self.n):
-            if self.below[i] == 1 << i:
-                m |= 1 << i
-        return m
-
     def lower_mask(self, mask):
         """Bitmask of common lower bounds of the elements in ``mask``."""
         out = self.full_mask()
@@ -128,12 +157,6 @@ class Poset:
         out = 0
         for i in iter_bits(mask):
             out |= self.below[i]
-        return out
-
-    def up_closure(self, mask):
-        out = 0
-        for i in iter_bits(mask):
-            out |= self.above[i]
         return out
 
     def least_of(self, mask):

@@ -358,15 +358,7 @@ def powerset_lattice(n, budget=None):
     """The Boolean lattice of all subsets of an n-element set."""
     _check_ground("powerset ground set", n, budget)
     size = 1 << n
-    above = []
-    for i in range(size):
-        row = 0
-        for j in range(size):
-            if i | j == j:
-                row |= 1 << j
-        above.append(row)
-    labels = [_set_label(m) for m in range(size)]
-    poset = Poset(above, labels)
+    poset = _inclusion_poset(range(size))
     joins = [tuple(i | j for j in range(size)) for i in range(size)]
     meets = [tuple(i & j for j in range(size)) for i in range(size)]
     return CompleteLattice(poset, joins, meets, 0, size - 1)
@@ -383,14 +375,7 @@ def downset_lattice(p, budget=None):
     masks = [m for m in range(1 << p.n) if p.is_down_closed(m)]
     index = {m: i for i, m in enumerate(masks)}
     size = len(masks)
-    above = []
-    for mi in masks:
-        row = 0
-        for j, mj in enumerate(masks):
-            if mi | mj == mj:
-                row |= 1 << j
-        above.append(row)
-    poset = Poset(above, [_set_label(m, names) for m in masks])
+    poset = _inclusion_poset(masks, names)
     joins = [tuple(index[mi | mj] for mj in masks) for mi in masks]
     meets = [tuple(index[mi & mj] for mj in masks) for mi in masks]
     return CompleteLattice(poset, joins, meets, 0, size - 1)

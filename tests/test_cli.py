@@ -199,6 +199,17 @@ def test_enumerate_needs_stretch(capsys):
     assert "--stretch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "-n", "0"], ["enumerate", "-n", "-3"],
+    ["enumerate", "-n", "5", "--jobs", "0"],
+    ["enumerate", "-n", "5", "--jobs", "-1"]])
+def test_enumerate_rejects_values_below_one(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
 def test_enumerate_catalog(tmp_path, capsys):
     out = tmp_path / "cat"
     assert main(["enumerate", "-n", "4", "--catalog", str(out)]) == 0
@@ -212,6 +223,14 @@ def test_represent_absent(cx_file, capsys):
     assert main(["represent", cx_file, "--max-points", "6"]) == 0
     assert capsys.readouterr().out.strip() == \
         "absent: no connectivity space on at most 6 points has this chainmail"
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_represent_rejects_max_points_below_one(bound, cx_file, capsys):
+    assert main(["represent", cx_file, "--max-points", bound]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-points must be at least 1" in captured.err
 
 
 def test_represent_found(tmp_path, capsys):
