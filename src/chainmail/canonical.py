@@ -75,8 +75,9 @@ def _swap_masks(n, above, below):
     return swap
 
 
-def canonical_labeling(n, above):
-    """Return ``(code, perm, automorphisms)`` canonicalizing ``above``.
+def canonical_labeling(above, below):
+    """Return ``(code, perm, automorphisms)`` canonicalizing ``above``,
+    whose transpose is ``below``.
 
     ``perm[old]`` is the canonical position of element ``old``; the code is
     the relation matrix of the relabeled poset, minimized over all labelings
@@ -88,11 +89,11 @@ def canonical_labeling(n, above):
     image of one it met under a twin transposition, so no automorphism is
     missing.
     """
+    n = len(above)
     if n == 0:
         return b"\x00\x00", (), ()
     if n > 255:  # the code's header holds n in one byte
         raise SizeBudgetExceeded("canonical form", n, 255)
-    below = transpose(n, above)
     refined = refine_colors(n, above, below)
     swap = _swap_masks(n, above, below)
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .lattice import CompleteLattice, as_complete_lattice, iter_separated_masks
 from .mails import Chainmail, DLattice, _x_star_mask, as_chainmail, d_lattice
-from .poset import Poset, from_json_dict, set_of, to_json_dict
+from .poset import Poset, from_json_dict, pullback, set_of, to_json_dict
 
 @dataclass(frozen=True)
 class KChainmail:
@@ -98,11 +98,11 @@ class PosetMap:
 
 
 def _check_monotone(sp, tp, table):
+    up = pullback(table, tp.n, tp.above)  # up[v]: the x with F(x) >= v
     for i in range(sp.n):
-        fi = table[i]
-        for j in iter_bits(sp.above[i]):
-            if not tp.leq(fi, table[j]):
-                raise NotMonotone((i, j))
+        bad = sp.above[i] & ~up[table[i]]
+        if bad:
+            raise NotMonotone((i, next(iter_bits(bad))))
 
 
 def _check_mail_joins(g1, g2, table):
@@ -123,15 +123,9 @@ def _check_join_preserving(l1, l2, table):
 
 
 def _adjoint_table(table, l1, l2):
-    """Right adjoint of a join-preserving table: y -> join{x : F(x) <= y}."""
-    adj = []
-    for y in range(l2.n):
-        acc = l1.bottom
-        for x in range(l1.n):
-            if l2.leq(table[x], y):
-                acc = l1.joins[acc][x]
-        adj.append(acc)
-    return tuple(adj)
+    """Right adjoint of a join-preserving table: y -> join{x : F(x) <= y},
+    the join of the preimage of the down-set of y."""
+    return tuple(map(l1.join_mask, pullback(table, l2.n, l2.poset.below)))
 
 
 def _check_adjoint_separated_joins(l1, l2, table):
@@ -228,10 +222,11 @@ def right_adjoint(f):
     except JoinsNotPreserved as e:
         raise NotJoinPreserving(e.witness) from None
     adj = _adjoint_table(f.table, l1, l2)
+    below_adj = pullback(adj, l1.n, l1.poset.above)  # the y with x <= adj(y)
     for x in range(l1.n):
-        for y in range(l2.n):
-            if l2.leq(f.table[x], y) != l1.leq(x, adj[y]):
-                raise TheoremViolation("galois-law", (x, y))
+        bad = l2.poset.above[f.table[x]] ^ below_adj[x]
+        if bad:
+            raise TheoremViolation("galois-law", (x, next(iter_bits(bad))))
     return PosetMap(f.target, f.source, adj, "monotone")
 
 
@@ -240,14 +235,8 @@ def right_adjoint(f):
 def k_chainmail(lat):
     """The induced subposet of connected elements, as a chainmail."""
     elements = sorted(iter_bits(lat.connected_mask()))
-    pos = {e: i for i, e in enumerate(elements)}
-    above = []
-    for e in elements:
-        row = 0
-        for f in iter_bits(lat.poset.above[e]):
-            if f in pos:
-                row |= 1 << pos[f]
-        above.append(row)
+    above = pullback(elements, lat.n,
+                     [lat.poset.above[e] for e in elements])
     labels = [lat.poset.label_of(e) for e in elements]
     poset = Poset(above, labels)
     try:
@@ -308,14 +297,9 @@ def d_morphism_adjoint(m, d1=None, d2=None):
     if d2 is None:
         d2 = d_lattice(g2)
     index1 = {mask: i for i, mask in enumerate(d1.td_sets)}
-    p2 = g2.poset
     table = []
-    for mask in d2.td_sets:
-        down = p2.down_closure(mask)
-        pre = 0
-        for x in range(g1.n):
-            if (down >> m.table[x]) & 1:
-                pre |= 1 << x
+    pres = pullback(m.table, g2.n, d2.subchainmails)
+    for mask, pre in zip(d2.td_sets, pres):
         star = _x_star_mask(g1, pre)
         try:
             table.append(index1[star])
@@ -359,10 +343,12 @@ def unit_eta(g, d=None):
     kp = k.chainmail.poset
     if len(set(table)) != g.n or kp.n != g.n:
         raise TheoremViolation("unit-not-bijective", tuple(table))
+    up = pullback(table, kp.n, kp.above)
     for x in range(g.n):
-        for y in range(g.n):
-            if g.poset.leq(x, y) != kp.leq(table[x], table[y]):
-                raise TheoremViolation("unit-not-order-iso", (x, y))
+        bad = g.poset.above[x] ^ up[table[x]]
+        if bad:
+            raise TheoremViolation("unit-not-order-iso",
+                                   (x, next(iter_bits(bad))))
     try:
         return UnitData(validate_map(g, k, table, "chainmail-morphism"), d, k)
     except _LAW_ERRORS as e:
@@ -372,19 +358,12 @@ def unit_eta(g, d=None):
 def counit_epsilon(lat):
     k = k_chainmail(lat)
     d = d_lattice(k.chainmail)
-    table = []
-    for mask in d.td_sets:
-        acc = lat.bottom
-        for i in iter_bits(mask):
-            acc = lat.joins[acc][k.elements[i]]
-        table.append(acc)
+    table = [lat.join_set(k.elements[i] for i in iter_bits(mask))
+             for mask in d.td_sets]
     dindex = {mask: i for i, mask in enumerate(d.td_sets)}
     adj = []
-    for x in range(lat.n):
-        cmask = 0
-        for i, e in enumerate(k.elements):
-            if lat.leq(e, x):
-                cmask |= 1 << i
+    # the connected elements below each x, as a mask over K's carrier
+    for x, cmask in enumerate(pullback(k.elements, lat.n, lat.poset.below)):
         star = _x_star_mask(k.chainmail, cmask)
         try:
             adj.append(dindex[star])
@@ -406,12 +385,8 @@ def is_epsilon_iso(lat):
     table = cd.map.table
     if len(set(table)) != lat.n or len(table) != lat.n:
         return False
-    dp = cd.d.lattice.poset
-    for i in range(len(table)):
-        for j in range(len(table)):
-            if dp.leq(i, j) != lat.leq(table[i], table[j]):
-                return False
-    return True
+    up = pullback(table, lat.n, lat.poset.above)
+    return all(row == up[v] for row, v in zip(cd.d.lattice.poset.above, table))
 
 
 # -- the adjunction's laws -----------------------------------------------------
@@ -420,6 +395,16 @@ def is_epsilon_iso(lat):
 class TriangleReport:
     chainmail_side: dict
     lattice_side: dict
+
+
+def _check_inverse(f, g, law, inverse_law):
+    """Raise law at the first g(f(i)) != i, inverse_law at f(g(j)) != j."""
+    for i in range(len(f)):
+        if g[f[i]] != i:
+            raise TheoremViolation(law, i)
+    for j in range(len(g)):
+        if f[g[j]] != j:
+            raise TheoremViolation(inverse_law, j)
 
 
 def check_triangle_identities(g, lat):
@@ -431,25 +416,15 @@ def check_triangle_identities(g, lat):
     ud = unit_eta(g)
     cd = counit_epsilon(ud.d.lattice)
     dm = d_on_morphism(ud.map, d1=ud.d, d2=cd.d)
-    n1 = len(ud.d.td_sets)
-    for i in range(n1):
-        if cd.map.table[dm.table[i]] != i:
-            raise TheoremViolation("triangle-chainmail-side", i)
-    for j in range(len(cd.d.td_sets)):
-        if dm.table[cd.map.table[j]] != j:
-            raise TheoremViolation("triangle-chainmail-side-inverse", j)
+    _check_inverse(dm.table, cd.map.table, "triangle-chainmail-side",
+                   "triangle-chainmail-side-inverse")
     chain_side = {"d-of-unit": dm.table, "counit-at-d": cd.map.table}
 
     cl = counit_epsilon(lat)
     uk = unit_eta(cl.k.chainmail, d=cl.d)
     ke = k_on_morphism(cl.map, k1=uk.k, k2=cl.k)
-    nk = len(cl.k.elements)
-    for i in range(nk):
-        if ke.table[uk.map.table[i]] != i:
-            raise TheoremViolation("triangle-lattice-side", i)
-    for j in range(len(uk.k.elements)):
-        if uk.map.table[ke.table[j]] != j:
-            raise TheoremViolation("triangle-lattice-side-inverse", j)
+    _check_inverse(uk.map.table, ke.table, "triangle-lattice-side",
+                   "triangle-lattice-side-inverse")
     lattice_side = {"unit-at-k": uk.map.table, "k-of-counit": ke.table}
     return TriangleReport(chain_side, lattice_side)
 

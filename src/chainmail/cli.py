@@ -33,8 +33,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """Parse a JSON file; bad UTF-8 and deep nesting are malformed JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as e:  # e.object holds the whole file
+            head = e.object[:e.start].decode("utf-8")
+            raise json.JSONDecodeError("not UTF-8", head, len(head)) from None
+        except RecursionError:
+            raise json.JSONDecodeError("nesting too deep", "", 0) from None
 
 
 def _load_poset(path, budget=None):

@@ -23,7 +23,7 @@ from . import config
 from .canonical import canonical_maximal_position, iter_bits
 from .errors import AxiomViolation, NotAChainmail, SizeBudgetExceeded
 from .mails import as_chainmail, iter_td_masks
-from .poset import Poset, to_dot
+from .poset import Poset, _down_closed_masks, to_dot
 
 FILTERS = ("all-posets", "chainmails", "mail-connected-chainmails")
 
@@ -61,10 +61,6 @@ def _check_size(n, budget):
     cap = config.enum_cap(budget)
     if n > cap:
         raise SizeBudgetExceeded("enumeration size", n, cap)
-
-
-def _down_closed_masks(p):
-    return [m for m in range(1 << p.n) if p.is_down_closed(m)]
 
 
 def _orbit(gens, mask):

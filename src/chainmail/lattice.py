@@ -30,7 +30,8 @@ from .errors import (
     SizeBudgetExceeded,
     TheoremViolation,
 )
-from .poset import Poset, components, iter_pairwise_masks, mask_of, set_of
+from .poset import (Poset, components, iter_pairwise_masks, lower_order,
+                    mask_of, pullback, set_of)
 
 
 class CompleteLattice:
@@ -56,9 +57,6 @@ class CompleteLattice:
     def __repr__(self):
         return f"CompleteLattice(n={self.n}, bottom={self.bottom}, top={self.top})"
 
-    def leq(self, i, j):
-        return self.poset.leq(i, j)
-
     def join(self, i, j):
         return self.joins[i][j]
 
@@ -77,15 +75,8 @@ class CompleteLattice:
     def disjointness(self):
         """disjointness()[i] = mask of j with meet(i, j) = bottom."""
         if self._disjoint is None:
-            table = []
-            for i in range(self.n):
-                row = 0
-                mrow = self.meets[i]
-                for j in range(self.n):
-                    if mrow[j] == self.bottom:
-                        row |= 1 << j
-                table.append(row)
-            self._disjoint = tuple(table)
+            self._disjoint = tuple(pullback(row, self.n, [1 << self.bottom])[0]
+                                   for row in self.meets)
         return self._disjoint
 
     def connected_mask(self):
@@ -168,26 +159,6 @@ def is_chained(lat, c):
 
 
 # -- the element conditions ---------------------------------------------------
-
-CONDITIONS = (
-    "disjoint-join-prime",
-    "disjoint-join-indecomposable",
-    "separated-join-member",
-    "separated-join-prime",
-)
-
-
-def check_condition(lat, a, which):
-    if which == "disjoint-join-prime":
-        return _check_disjoint_join_prime(lat, a)
-    if which == "disjoint-join-indecomposable":
-        return _check_disjoint_join_indecomposable(lat, a)
-    if which == "separated-join-member":
-        return _check_separated_join_member(lat, a)
-    if which == "separated-join-prime":
-        return _check_separated_join_prime(lat, a)
-    raise ValueError(f"unknown condition: {which!r}")
-
 
 def _check_disjoint_join_prime(lat, a):
     if a == lat.bottom:
@@ -277,6 +248,24 @@ def _check_separated_join_prime(lat, a):
     return not search(lat.bottom, candidates)
 
 
+# condition name -> its check on (lat, a), in the module docstring's order
+_CONDITIONS = {
+    "disjoint-join-prime": _check_disjoint_join_prime,
+    "disjoint-join-indecomposable": _check_disjoint_join_indecomposable,
+    "separated-join-member": _check_separated_join_member,
+    "separated-join-prime": _check_separated_join_prime,
+}
+CONDITIONS = tuple(_CONDITIONS)
+
+
+def check_condition(lat, a, which):
+    try:
+        check = _CONDITIONS[which]
+    except KeyError:
+        raise ValueError(f"unknown condition: {which!r}") from None
+    return check(lat, a)
+
+
 def connected_elements(lat):
     return set_of(lat.connected_mask())
 
@@ -356,30 +345,14 @@ def separation_poset(lat, cap=None):
         if len(masks) > cap:
             raise SizeBudgetExceeded("separated-set family", len(masks), cap)
     masks.sort()
-    k = len(masks)
-    down = {}
-    for m in masks:
-        d = 0
-        for s in iter_bits(m):
-            d |= lat.poset.below[s]
-        down[m] = d
-    above = [0] * k
-    for i, mi in enumerate(masks):
-        row = 0
-        for j, mj in enumerate(masks):
-            if mi & down[mj] == mi:
-                row |= 1 << j
-        above[i] = row
-    below = [0] * k
-    for i in range(k):
-        for j in iter_bits(above[i]):
-            below[j] |= 1 << i
-    for i in range(k):
-        if above[i] & below[i] != 1 << i:
-            j = next(b for b in iter_bits(above[i] & below[i]) if b != i)
+    down = [lat.poset.down_closure(m) for m in masks]
+    poset = Poset(lower_order(masks, down))
+    for i in range(len(masks)):
+        both = poset.above[i] & poset.below[i]
+        if both != 1 << i:
+            j = next(b for b in iter_bits(both) if b != i)
             raise TheoremViolation("separation-poset-antisymmetry",
                                    (masks[i], masks[j]))
-    poset = Poset(above)
     nu = tuple(lat.join_mask(m) for m in masks)
     return SeparationPoset(lat, poset, tuple(masks), nu)
 
@@ -398,14 +371,9 @@ def nu_classification(lat, cap=None):
     order_iso = False
     if surjective and injective:
         # reflects order: join(S1) <= join(S2) implies S1 <= S2
-        order_iso = True
-        for i in range(len(sp.sets)):
-            for j in range(len(sp.sets)):
-                if lat.leq(sp.nu[i], sp.nu[j]) and not (sp.poset.above[i] >> j) & 1:
-                    order_iso = False
-                    break
-            if not order_iso:
-                break
+        up = pullback(sp.nu, lat.n, lat.poset.above)
+        order_iso = not any(up[v] & ~row
+                            for v, row in zip(sp.nu, sp.poset.above))
     if order_iso:
         verdict = "iso"
     elif surjective:

@@ -20,7 +20,8 @@ from .errors import (
     TheoremViolation,
 )
 from .lattice import CompleteLattice
-from .poset import Poset, components, iter_pairwise_masks, mask_of, set_of
+from .poset import (Poset, components, iter_pairwise_masks, lower_order,
+                    mask_of, set_of)
 
 
 class Chainmail:
@@ -261,15 +262,7 @@ def d_lattice(g, cap=None):
     k = len(tds)
     index = {m: i for i, m in enumerate(tds)}
     down = [p.down_closure(m) for m in tds]
-
-    above = [0] * k
-    for i in range(k):
-        mi = tds[i]
-        row = 0
-        for j in range(k):
-            if mi & down[j] == mi:
-                row |= 1 << j
-        above[i] = row
+    above = lower_order(tds, down)
 
     joins = [[0] * k for _ in range(k)]
     meets = [[0] * k for _ in range(k)]

@@ -25,6 +25,36 @@ def set_of(mask):
     return frozenset(iter_bits(mask))
 
 
+def pullback(table, n, rows):
+    """The preimage under ``table`` of each mask in ``rows`` (over 0..n-1),
+    built from the fibres of the values, so a row costs one OR per member."""
+    fibre = [0] * n
+    for x, v in enumerate(table):
+        fibre[v] |= 1 << x
+    out = []
+    for row in rows:
+        pre = 0
+        while row:
+            low = row & -row
+            pre |= fibre[low.bit_length() - 1]
+            row ^= low
+        out.append(pre)
+    return out
+
+
+def lower_order(masks, downs):
+    """Up-set rows of the family order: i <= j iff ``masks[i]`` lies inside
+    ``downs[j]``, the down-closure of ``masks[j]`` (or ``masks[j]`` itself)."""
+    above = []
+    for m in masks:
+        row = 0
+        for j, d in enumerate(downs):
+            if m & d == m:
+                row |= 1 << j
+        above.append(row)
+    return above
+
+
 def iter_pairwise_masks(beside, candidates):
     """Every subset of ``candidates`` whose members are pairwise allowed
     together, as a bitmask; ``beside[e]`` is the mask of elements allowed
@@ -207,7 +237,7 @@ class Poset:
         """(code, perm) where perm maps old index -> canonical position."""
         if self._code is None:
             self._code, self._perm, self._autos = canonical_labeling(
-                self.n, self.above)
+                self.above, self.below)
         return self._code, self._perm
 
     def automorphisms(self):
@@ -220,12 +250,16 @@ class Poset:
         return self._autos
 
 
+def _down_closed_masks(p):
+    return [m for m in range(1 << p.n) if p.is_down_closed(m)]
+
+
 def validate_poset(size, pairs, mode="covers", labels=None, budget=None):
     """Build a Poset from untrusted data.
 
     mode="covers": pairs are strict covers (a, b) with a below b; the
-    digraph must be acyclic and leq becomes its reflexive-transitive
-    closure.  mode="full-relation": pairs are the entire leq relation and
+    digraph must be acyclic and <= becomes its reflexive-transitive
+    closure.  mode="full-relation": pairs are the entire <= relation and
     all three poset axioms are checked.
     """
     cap = config.poset_cap(budget)

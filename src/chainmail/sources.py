@@ -16,7 +16,8 @@ from .canonical import iter_bits
 from .errors import AxiomViolation, SizeBudgetExceeded, TheoremViolation
 from .lattice import CompleteLattice
 from .mails import as_chainmail
-from .poset import Poset, heights, validate_poset
+from .poset import (Poset, _down_closed_masks, heights, lower_order,
+                    validate_poset)
 
 
 def _members_tuple(mask):
@@ -41,16 +42,8 @@ def _set_label(mask, names=None):
 def _inclusion_poset(masks, names=None):
     """Poset of the given distinct subset-masks ordered by inclusion."""
     masks = sorted(masks)
-    n = len(masks)
-    above = []
-    for mi in masks:
-        row = 0
-        for j, mj in enumerate(masks):
-            if mi | mj == mj:
-                row |= 1 << j
-        above.append(row)
     labels = [_set_label(m, names) for m in masks]
-    return Poset(above, labels)
+    return Poset(lower_order(masks, masks), labels)
 
 
 # -- ground structures --------------------------------------------------------
@@ -372,7 +365,7 @@ def downset_lattice(p, budget=None):
     """
     _check_ground("down-set ground poset", p.n, budget)
     names = [p.label_of(i) for i in range(p.n)]
-    masks = [m for m in range(1 << p.n) if p.is_down_closed(m)]
+    masks = _down_closed_masks(p)
     index = {m: i for i, m in enumerate(masks)}
     size = len(masks)
     poset = _inclusion_poset(masks, names)
@@ -511,11 +504,11 @@ def _search_assignment(g, k):
 
 def _verify_assignment(g, phi):
     p = g.poset
+    if lower_order(phi, phi) != list(p.above):  # inclusion mirrors the order
+        return False
     for i in range(p.n):
-        for j in range(p.n):
-            if (phi[i] | phi[j] == phi[j]) != p.leq(i, j):
-                return False
-            if i < j and phi[i] & phi[j]:
+        for j in range(i + 1, p.n):
+            if phi[i] & phi[j]:
                 join = p.join_mask((1 << i) | (1 << j))
                 if join is None or phi[join] != phi[i] | phi[j]:
                     return False

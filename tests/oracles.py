@@ -136,6 +136,27 @@ def least_upper_bound(n, rows, mask):
     return None
 
 
+def first_monotonicity_break(rows1, rows2, table):
+    """The first pair (i, j), i-major, with i <= j in the source but
+    table[i] not <= table[j] in the target; None for a monotone table."""
+    for i in range(len(rows1)):
+        for j in range(len(rows1)):
+            if (rows1[i] >> j) & 1 and not (rows2[table[i]] >> table[j]) & 1:
+                return (i, j)
+    return None
+
+
+def right_adjoint(rows1, rows2, table):
+    """At each target element y, the greatest x with table[x] <= y, or
+    None where that set has no greatest element."""
+    out = []
+    for y in range(len(rows2)):
+        lower = [x for x in range(len(rows1)) if (rows2[table[x]] >> y) & 1]
+        tops = [x for x in lower if all((rows1[z] >> x) & 1 for z in lower)]
+        out.append(tops[0] if tops else None)
+    return tuple(out)
+
+
 def d_image(g2, image_mask):
     """D of a chainmail morphism at one totally disconnected set, from the
     definitions: the maximal elements of the least down-closed set that

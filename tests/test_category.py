@@ -50,7 +50,7 @@ from chainmail.lattice import (
     separation_poset,
 )
 from chainmail.mails import as_chainmail, d_lattice, poset_is_chainmail
-from chainmail.poset import set_of, validate_poset
+from chainmail.poset import Poset, set_of, validate_poset
 from chainmail.sources import powerset_lattice
 
 
@@ -114,6 +114,27 @@ def test_constant_to_top_is_chainmail_morphism(counterexample):
     f = validate_map(counterexample, counterexample, [6] * 7,
                      "chainmail-morphism")
     assert f.role == "chainmail-morphism"
+
+
+def test_monotonicity_witness_matches_oracle():
+    """validate_map accepts exactly the tables in which brute force finds
+    no broken pair, and otherwise names the first pair it finds: every
+    table between labeled posets n<=3."""
+    posets = [Poset(rows) for n in range(4)
+              for rows in oracles.labeled_posets(n)]
+    checked = 0
+    for p1 in posets:
+        for p2 in posets:
+            for t in itertools.product(range(p2.n), repeat=p1.n):
+                try:
+                    validate_map(p1, p2, t, "monotone")
+                    got = None
+                except NotMonotone as e:
+                    got = e.witness
+                assert got == oracles.first_monotonicity_break(
+                    p1.above, p2.above, t)
+                checked += 1
+    assert checked == 10862
 
 
 def test_not_monotone():
@@ -271,6 +292,21 @@ def test_galois_law_everywhere():
                 validate_map(l2, l1, adj.table, "monotone")
                 checked += 1
     assert checked == 41904
+
+
+def test_right_adjoint_matches_oracle():
+    """right_adjoint sends y to the greatest x with F(x) <= y, for every
+    join-preserving table between lattices n<=5."""
+    lats = lattices_up_to(5)
+    checked = 0
+    for l1 in lats:
+        for l2 in lats:
+            for t in join_preserving_tables(l1, l2):
+                adj = right_adjoint(PosetMap(l1, l2, t, "monotone"))
+                assert adj.table == oracles.right_adjoint(
+                    l1.poset.above, l2.poset.above, t)
+                checked += 1
+    assert checked == 2022
 
 
 # -- the K construction ----------------------------------------------------------

@@ -282,3 +282,19 @@ def test_garbage_json(tmp_path, capsys):
     f.write_text("not json {")
     assert main(["check", str(f)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("verb", [["check"], ["build", "graph"]])
+@pytest.mark.parametrize("content, message", [
+    (b'{"vertices":\n 1,\xff}', "error: not UTF-8: line 2 column 4 (char 16)"),
+    (b"[" * 200000, "error: nesting too deep"),
+], ids=["not-utf8", "too-deep"])
+def test_unreadable_json(verb, content, message, tmp_path, capsys):
+    """Bytes that are not UTF-8 and nesting too deep for the parser exit 1
+    with a message, like any other malformed JSON."""
+    f = tmp_path / "bad.json"
+    f.write_bytes(content)
+    assert main(verb + [str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
