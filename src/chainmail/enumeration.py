@@ -8,6 +8,14 @@ automorphisms, with the child's canonically distinguished maximal
 element.  Each isomorphism class is therefore produced exactly once,
 with memory proportional to the recursion depth.
 
+Most children are decided without a labeling, cheap invariant first
+(McKay, Isomorph-free exhaustive generation, 1998).  The distinguished
+maximal element has the largest strict down-set among the maximal
+elements, so a new element whose down-set is smaller than that of a
+maximal element it leaves maximal is rejected before the child is
+built, and one larger than all of theirs is kept unlabeled.  Only ties
+are labeled to decide them.
+
 Counting runs keep the whole tree: a poset that is not a chainmail can
 still have chainmail descendants (later elements may supply the missing
 joins), so structure filters are applied to the visited posets, never
@@ -123,14 +131,33 @@ def _accepted(child):
     return (1 << z) in _orbit(child.automorphisms(), 1 << w)
 
 
+def _children(p):
+    """The accepted children of ``p``, one per down-set orbit, in order.
+
+    Refinement first ranks elements by (strict down-set size, strict
+    up-set size) and later only splits ranks.  So a new element ranked
+    below a maximal element it leaves maximal never shares that one's
+    color, and one ranked above them all (above ``need``) is alone in its
+    class, at the canonical maximal position.
+    """
+    maximal = [m for m in range(p.n) if p.above[m] == 1 << m]
+    for dmask in _downset_orbit_reps(p):
+        need = max((p.below[m].bit_count() for m in maximal
+                    if not (dmask >> m) & 1), default=0) - 1
+        d = dmask.bit_count()
+        if d < need:
+            continue
+        child = _extend(p, dmask)
+        if d > need or _accepted(child):
+            yield child
+
+
 def _walk(p, n):
     """Yield ``p`` and every accepted descendant up to size ``n``."""
     yield p
     if p.n < n:
-        for dmask in _downset_orbit_reps(p):
-            child = _extend(p, dmask)
-            if _accepted(child):
-                yield from _walk(child, n)
+        for child in _children(p):
+            yield from _walk(child, n)
 
 
 def _walk_from_unit(n):
@@ -177,13 +204,8 @@ def _passes(p, which):
 def _count_subtrees(args):
     """Pool worker: the passing proper descendants of one seed, as rows."""
     rows, n, which = args
-    seed = Poset(rows)
-    out = []
-    for dmask in _downset_orbit_reps(seed):
-        child = _extend(seed, dmask)
-        if _accepted(child):
-            out.extend(q.above for q in _walk(child, n) if _passes(q, which))
-    return out
+    return [q.above for child in _children(Poset(rows))
+            for q in _walk(child, n) if _passes(q, which)]
 
 
 def _pool_context():
@@ -193,38 +215,39 @@ def _pool_context():
     return get_context()
 
 
-def _passing(task):
-    """Every visited poset up to ``task.size`` that passes the filter.
+def _passing(task, rows=False):
+    """Every visited poset up to ``task.size`` that passes the filter, as a
+    :class:`Poset`, or with ``rows`` as its ``above`` rows.
 
     With one job, or up to the split size, this is one serial walk.
     Otherwise the walk stops at the split size and each seed there is
     one pool task; subtrees differ widely in size, so tasks are handed
     out one at a time and their posets stream back as each finishes.
+    Workers return rows, which become posets only when posets are asked
+    for; serial posets are yielded as the walk built them, so none is
+    labeled twice.
     """
-    if task.jobs == 1 or task.size <= _SPLIT_SIZE:
-        for p in _walk_from_unit(task.size):
-            if _passes(p, task.filter):
-                yield p
-        return
+    single = task.jobs == 1 or task.size <= _SPLIT_SIZE
     seeds = []
-    for p in _walk_from_unit(_SPLIT_SIZE):
+    for p in _walk_from_unit(task.size if single else _SPLIT_SIZE):
         if _passes(p, task.filter):
-            yield p
-        if p.n == _SPLIT_SIZE:
+            yield p.above if rows else p
+        if not single and p.n == _SPLIT_SIZE:
             seeds.append((p.above, task.size, task.filter))
+    if single:
+        return
     workers = min(task.jobs, len(seeds), os.cpu_count() or 1)
     with _pool_context().Pool(workers) as pool:
         for part in pool.imap_unordered(_count_subtrees, seeds):
-            for rows in part:
-                yield Poset(rows)
+            yield from (part if rows else map(Poset, part))
 
 
 def count_chainmails(task, budget=None):
     """Isomorphism-class counts per size, 1..task.size, under the filter."""
     _check_size(task.size, budget)
     counts = {s: 0 for s in range(1, task.size + 1)}
-    for p in _passing(task):
-        counts[p.n] += 1
+    for above in _passing(task, rows=True):
+        counts[len(above)] += 1
     return counts
 
 

@@ -70,7 +70,13 @@ class CompleteLattice:
         return out
 
     def join_mask(self, mask):
-        return self.join_set(iter_bits(mask))
+        joins = self.joins
+        out = self.bottom
+        while mask:
+            low = mask & -mask
+            out = joins[out][low.bit_length() - 1]
+            mask ^= low
+        return out
 
     def disjointness(self):
         """disjointness()[i] = mask of j with meet(i, j) = bottom."""

@@ -251,7 +251,19 @@ class Poset:
 
 
 def _down_closed_masks(p):
-    return [m for m in range(1 << p.n) if p.is_down_closed(m)]
+    """Every down-closed mask of ``p``, ascending.
+
+    Built up along a linear extension: once the elements strictly below
+    k are placed, the down-sets holding k are those without it that
+    already contain its strict down-set, each plus k.
+    """
+    masks = [0]
+    for k in sorted(range(p.n), key=lambda i: p.below[i].bit_count()):
+        bit = 1 << k
+        strict = p.below[k] ^ bit
+        masks += [d | bit for d in masks if d & strict == strict]
+    masks.sort()
+    return masks
 
 
 def validate_poset(size, pairs, mode="covers", labels=None, budget=None):

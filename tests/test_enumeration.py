@@ -260,3 +260,32 @@ def test_acceptance_matches_oracle_orbit():
             assert enumeration._accepted(child) == want
             kept += want
     assert kept == sum(1 for _ in enumeration.posets_up_to(6)) - 1
+
+
+def test_shortcuts_agree_with_acceptance(monkeypatch):
+    """Every orbit-representative child of every poset up to size 6: a
+    child the down-set size test rejects is never kept by ``_accepted``,
+    and a child it accepts unlabeled is always kept."""
+    parents = enumeration.posets_up_to(6)
+    accepted = enumeration._accepted
+    asked = set()
+
+    def recording(child):
+        asked.add(child.above)
+        return accepted(child)
+
+    monkeypatch.setattr(enumeration, "_accepted", recording)
+    rejected = unlabeled = 0
+    for p in parents:
+        asked.clear()
+        got = [c.above for c in enumeration._children(p)]
+        kids = [enumeration._extend(p, d)
+                for d in enumeration._downset_orbit_reps(p)]
+        assert got == [c.above for c in kids if accepted(c)]
+        for c in kids:
+            if c.above not in asked:
+                kept = c.above in got
+                assert accepted(c) == kept
+                unlabeled += kept
+                rejected += not kept
+    assert (rejected, unlabeled) == (2235, 1803)

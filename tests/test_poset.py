@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from chainmail.enumeration import posets_up_to
 from chainmail.errors import (
     AxiomViolation,
     CycleDetected,
@@ -12,6 +13,7 @@ from chainmail.errors import (
 )
 from chainmail.poset import (
     Poset,
+    _down_closed_masks,
     canonical_form,
     covers,
     from_json_dict,
@@ -202,6 +204,16 @@ def test_code_counts_match_naive_oracle():
             package_codes.add(Poset(rows).canonical()[0])
         assert len(package_codes) == len(oracles.unlabeled_poset_codes(n))
         assert len(package_codes) == expected[n - 1]
+
+
+def test_down_closed_masks_match_brute_force():
+    """The down-sets built along a linear extension are exactly the masks
+    the brute-force filter keeps, ascending, for every poset up to size 6
+    in its own labeling and reversed."""
+    assert _down_closed_masks(Poset(())) == [0]
+    for p in posets_up_to(6):
+        for q in (p, p.relabel([p.n - 1 - i for i in range(p.n)])):
+            assert _down_closed_masks(q) == oracles.downset_masks(q.n, q.above)
 
 
 # -- property tests ------------------------------------------------------------------
