@@ -14,6 +14,7 @@ Everything is checked pointwise at validation time; states the theory
 rules out raise TheoremViolation instead of ordinary input errors.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .canonical import iter_bits
@@ -27,7 +28,7 @@ from .errors import (
     NotMonotone,
     TheoremViolation,
 )
-from .lattice import CompleteLattice, as_complete_lattice, iter_separated_masks
+from .lattice import CompleteLattice, as_complete_lattice
 from .mails import Chainmail, DLattice, _x_star_mask, as_chainmail, d_lattice
 from .poset import Poset, from_json_dict, pullback, set_of, to_json_dict
 
@@ -123,20 +124,36 @@ def _check_join_preserving(l1, l2, table):
 
 
 def _adjoint_table(table, l1, l2):
-    """Right adjoint of a join-preserving table: y -> join{x : F(x) <= y},
-    the join of the preimage of the down-set of y."""
-    return tuple(map(l1.join_mask, pullback(table, l2.n, l2.poset.below)))
+    """Right adjoint of a join-preserving table: y -> join{x : F(x) <= y}.
+
+    Each value starts as the join of its fibre and takes in the values
+    of its lower covers, along a linear extension of l2; for any table
+    that is the join of the preimage of the down-set of y."""
+    joins1 = l1.joins
+    adj = [l1.bottom] * l2.n
+    for x, v in enumerate(table):
+        adj[v] = joins1[adj[v]][x]
+    for y, covers in l2.poset.lower_covers():
+        a = adj[y]
+        for c in covers:
+            a = joins1[a][adj[c]]
+        adj[y] = a
+    return tuple(adj)
 
 
 def _check_adjoint_separated_joins(l1, l2, table):
     adj = _adjoint_table(table, l1, l2)
-    for s in iter_separated_masks(l2):
-        lhs = adj[l2.join_mask(s)]
-        rhs = l1.bottom
-        for e in iter_bits(s):
-            rhs = l1.joins[rhs][adj[e]]
-        if lhs != rhs:
-            raise AdjointFailsSeparatedJoins(set_of(s))
+    joins1 = l1.joins
+    sets = l2.separated()
+    # rhs[i]: the join of the adjoint's values on the members of set i
+    rhs = [l1.bottom] * len(sets)
+    if adj[l2.bottom] != l1.bottom:
+        raise AdjointFailsSeparatedJoins(set_of(0))
+    for i in range(1, len(sets)):
+        mask, join, parent, last = sets[i]
+        r = rhs[i] = joins1[rhs[parent]][adj[last]]
+        if adj[join] != r:
+            raise AdjointFailsSeparatedJoins(set_of(mask))
 
 
 def _check_connected_image(l1, l2, table):
@@ -273,15 +290,9 @@ def d_on_morphism(m, d1=None, d2=None):
         d1 = d_lattice(_chainmail_structure(m.source))
     if d2 is None:
         d2 = d_lattice(_chainmail_structure(m.target))
-    index2 = {mask: i for i, mask in enumerate(d2.td_sets)}
-    joins2 = d2.lattice.joins
-    singleton = [index2[1 << v] for v in m.table]
-    table = []
-    for mask in d1.td_sets:
-        acc = d2.lattice.bottom
-        for e in iter_bits(mask):
-            acc = joins2[acc][singleton[e]]
-        table.append(acc)
+    # td sets are sorted, so a bisection finds the index of {v}
+    singleton = [bisect_left(d2.td_sets, 1 << v) for v in m.table]
+    table = d1.join_images(d2.lattice, singleton)
     try:
         return validate_map(d1, d2, table, "connectivity-hom")
     except _LAW_ERRORS as e:
@@ -358,8 +369,7 @@ def unit_eta(g, d=None):
 def counit_epsilon(lat):
     k = k_chainmail(lat)
     d = d_lattice(k.chainmail)
-    table = [lat.join_set(k.elements[i] for i in iter_bits(mask))
-             for mask in d.td_sets]
+    table = d.join_images(lat, k.elements)
     dindex = {mask: i for i, mask in enumerate(d.td_sets)}
     adj = []
     # the connected elements below each x, as a mask over K's carrier
@@ -488,7 +498,6 @@ def _tables(p1, p2, joins1=None, joins2=None, allowed=None):
     undefined join of the images ends the branch.
     """
     n = p1.n
-    order = sorted(range(n), key=lambda x: (bin(p1.below[x]).count("1"), x))
     full = p2.full_mask()
     at = [[] for _ in range(n)]  # x -> the incomparable pairs joining to x
     if joins1 is not None:
@@ -498,12 +507,11 @@ def _tables(p1, p2, joins1=None, joins2=None, allowed=None):
                                & p1.full_mask()):
                 if row[b] is not None:
                     at[row[b]].append((a, b))
-    start, covers, pairs = [], [], []
-    for x in order:
-        strictly = p1.below[x] & ~(1 << x)
+    order, start, covers, pairs = [], [], [], []
+    for x, low in p1.lower_covers():
+        order.append(x)
         start.append(full if allowed is None else allowed[x])
-        covers.append([y for y in iter_bits(strictly)
-                       if p1.above[y] & strictly == 1 << y])
+        covers.append(low)
         pairs.append(at[x])
     above2 = p2.above
     table = [0] * n

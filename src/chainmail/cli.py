@@ -270,6 +270,11 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    budgets = (("--budget", getattr(args, "budget", None)),
+               ("--search-budget", getattr(args, "search_budget", None)))
+    for flag, value in budgets:
+        if value is not None and value < 0:
+            return _usage(args, f"{flag} must be at least 0, got {value}")
     try:
         return args.handler(args)
     except TheoremViolation as e:

@@ -23,10 +23,13 @@ def poset_cap(override=None):
     if not env:
         return DEFAULT_POSET_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
+        cap = None
+    if cap is None or cap < 0:
         raise ChainmailError(
-            f"CHAINMAIL_BUDGET must be an integer, got {env!r}") from None
+            f"CHAINMAIL_BUDGET must be an integer, at least 0, got {env!r}")
+    return cap
 
 
 def family_cap(override=None):

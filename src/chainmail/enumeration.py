@@ -202,10 +202,17 @@ def _passes(p, which):
 
 
 def _count_subtrees(args):
-    """Pool worker: the passing proper descendants of one seed, as rows."""
-    rows, n, which = args
-    return [q.above for child in _children(Poset(rows))
-            for q in _walk(child, n) if _passes(q, which)]
+    """Pool worker: the passing proper descendants of one seed, as rows,
+    or with ``tally`` as a count per size."""
+    rows, n, which, tally = args
+    found = (q for child in _children(Poset(rows)) for q in _walk(child, n)
+             if _passes(q, which))
+    if not tally:
+        return [q.above for q in found]
+    counts = {}
+    for q in found:
+        counts[q.n] = counts.get(q.n, 0) + 1
+    return counts
 
 
 def _pool_context():
@@ -215,39 +222,39 @@ def _pool_context():
     return get_context()
 
 
-def _passing(task, rows=False):
+def _passing(task, tally=False):
     """Every visited poset up to ``task.size`` that passes the filter, as a
-    :class:`Poset`, or with ``rows`` as its ``above`` rows.
+    :class:`Poset`, or with ``tally`` as ``(size, count)`` pairs.
 
     With one job, or up to the split size, this is one serial walk.
     Otherwise the walk stops at the split size and each seed there is
     one pool task; subtrees differ widely in size, so tasks are handed
-    out one at a time and their posets stream back as each finishes.
-    Workers return rows, which become posets only when posets are asked
-    for; serial posets are yielded as the walk built them, so none is
-    labeled twice.
+    out one at a time and their results stream back as each finishes.
+    For a tally a worker returns its count per size; otherwise it returns
+    rows, which become posets here.  Serial posets are yielded as the
+    walk built them, so none is labeled twice.
     """
     single = task.jobs == 1 or task.size <= _SPLIT_SIZE
     seeds = []
     for p in _walk_from_unit(task.size if single else _SPLIT_SIZE):
         if _passes(p, task.filter):
-            yield p.above if rows else p
+            yield (p.n, 1) if tally else p
         if not single and p.n == _SPLIT_SIZE:
-            seeds.append((p.above, task.size, task.filter))
+            seeds.append((p.above, task.size, task.filter, tally))
     if single:
         return
     workers = min(task.jobs, len(seeds), os.cpu_count() or 1)
     with _pool_context().Pool(workers) as pool:
         for part in pool.imap_unordered(_count_subtrees, seeds):
-            yield from (part if rows else map(Poset, part))
+            yield from (part.items() if tally else map(Poset, part))
 
 
 def count_chainmails(task, budget=None):
     """Isomorphism-class counts per size, 1..task.size, under the filter."""
     _check_size(task.size, budget)
     counts = {s: 0 for s in range(1, task.size + 1)}
-    for above in _passing(task, rows=True):
-        counts[len(above)] += 1
+    for size, count in _passing(task, tally=True):
+        counts[size] += count
     return counts
 
 

@@ -42,7 +42,7 @@ class CompleteLattice:
     """
 
     __slots__ = ("poset", "n", "bottom", "top", "joins", "meets",
-                 "_disjoint", "_connected_mask")
+                 "_disjoint", "_separated", "_connected_mask")
 
     def __init__(self, poset, joins, meets, bottom, top):
         self.poset = poset
@@ -52,6 +52,7 @@ class CompleteLattice:
         self.bottom = bottom
         self.top = top
         self._disjoint = None
+        self._separated = None
         self._connected_mask = None
 
     def __repr__(self):
@@ -84,6 +85,35 @@ class CompleteLattice:
             self._disjoint = tuple(pullback(row, self.n, [1 << self.bottom])[0]
                                    for row in self.meets)
         return self._disjoint
+
+    def separated(self):
+        """Every separated set, in :func:`iter_separated_masks` order, as
+        ``(mask, join, parent, last)``.
+
+        ``parent`` is the index of the set less its highest member
+        ``last``, always an earlier entry, so each join is one join from
+        its parent's.  Entry 0 is the empty set, with parent and last
+        None.  More than ``config.family_cap()`` sets raise
+        SizeBudgetExceeded.
+        """
+        if self._separated is None:
+            cap = config.family_cap()
+            joins = self.joins
+            index = {}
+            out = []
+            for m in iter_separated_masks(self):
+                index[m] = len(out)
+                if m:
+                    last = m.bit_length() - 1
+                    parent = index[m ^ (1 << last)]
+                    out.append((m, joins[out[parent][1]][last], parent, last))
+                else:
+                    out.append((0, self.bottom, None, None))
+                if len(out) > cap:
+                    raise SizeBudgetExceeded("separated-set family",
+                                             len(out), cap)
+            self._separated = tuple(out)
+        return self._separated
 
     def connected_mask(self):
         if self._connected_mask is None:

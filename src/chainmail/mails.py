@@ -232,15 +232,28 @@ class DLattice:
     ``td_sets[i]`` is lattice element i as a carrier bitmask and
     ``subchainmails[i]`` its down-closure; the two views are the dictionary
     of the td-set/subchainmail bijection.  Order: D1 <= D2 iff every
-    member of D1 lies below some member of D2.
+    member of D1 lies below some member of D2.  ``steps[i]`` is
+    ``(parent, last)``: td set i is td set ``parent`` plus its highest
+    member ``last``; the empty td set 0 has ``(None, None)``.
     """
     chainmail: Chainmail
     lattice: CompleteLattice
     td_sets: tuple
     subchainmails: tuple
+    steps: tuple
 
     def index_of(self, members):
         return self.td_sets.index(mask_of(members))
+
+    def join_images(self, lat, images):
+        """For each td set in order, the join in ``lat`` of ``images[e]``
+        over its members e: one join per set, from its parent's."""
+        joins, steps = lat.joins, self.steps
+        out = [lat.bottom] * len(steps)
+        for i in range(1, len(steps)):
+            parent, last = steps[i]
+            out[i] = joins[out[parent]][images[last]]
+        return out
 
 
 def d_lattice(g, cap=None):
@@ -295,4 +308,9 @@ def d_lattice(g, cap=None):
         top = joins[top][i]
     lat = CompleteLattice(dposet, [tuple(r) for r in joins],
                           [tuple(r) for r in meets], bottom, top)
-    return DLattice(g, lat, tuple(tds), tuple(down))
+    # sorted order puts each td set after the set less its highest member
+    steps = [(None, None)]
+    for m in tds[1:]:
+        last = m.bit_length() - 1
+        steps.append((index[m ^ (1 << last)], last))
+    return DLattice(g, lat, tuple(tds), tuple(down), tuple(steps))

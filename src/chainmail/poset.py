@@ -106,7 +106,8 @@ class Poset:
     anything that arrives from outside the package.
     """
 
-    __slots__ = ("n", "above", "below", "labels", "_code", "_perm", "_autos")
+    __slots__ = ("n", "above", "below", "labels", "_code", "_perm", "_autos",
+                 "_lower_covers")
 
     def __init__(self, above, labels=None):
         self.n = len(above)
@@ -122,6 +123,7 @@ class Poset:
         self._code = None
         self._perm = None
         self._autos = None
+        self._lower_covers = None
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={self.covers()})"
@@ -159,16 +161,19 @@ class Poset:
 
     def covers(self):
         """Transitive reduction as a lexicographically sorted pair list."""
-        out = []
-        for i in range(self.n):
-            strictly_above = self.above[i] & ~(1 << i)
-            for j in iter_bits(strictly_above):
-                # i -< j iff nothing sits strictly between them
-                between = strictly_above & self.below[j] & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        out.sort()
-        return out
+        return sorted((c, y) for y, low in self.lower_covers() for c in low)
+
+    def lower_covers(self):
+        """``(y, lower covers of y)`` for every element y, in a linear
+        extension: by down-set size, ties by index."""
+        if self._lower_covers is None:
+            above, below = self.above, self.below
+            order = sorted(range(self.n), key=lambda y: below[y].bit_count())
+            self._lower_covers = tuple(
+                (y, tuple(c for c in iter_bits(below[y] & ~(1 << y))
+                          if above[c] & below[y] == (1 << c) | (1 << y)))
+                for y in order)
+        return self._lower_covers
 
     def lower_mask(self, mask):
         """Bitmask of common lower bounds of the elements in ``mask``."""

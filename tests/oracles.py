@@ -157,6 +157,50 @@ def right_adjoint(rows1, rows2, table):
     return tuple(out)
 
 
+def join_of_preimage(rows1, rows2, table):
+    """At each target element y, the least upper bound of every x with
+    table[x] <= y.  Defined for any table into and out of lattices,
+    monotone or not."""
+    n1 = len(rows1)
+    out = []
+    for y in range(len(rows2)):
+        pre = 0
+        for x in range(n1):
+            if (rows2[table[x]] >> y) & 1:
+                pre |= 1 << x
+        out.append(least_upper_bound(n1, rows1, pre))
+    return tuple(out)
+
+
+def first_separated_join_break(rows1, rows2, table):
+    """The first separated set S of the target at which the right adjoint
+    r = join_of_preimage fails r(join S) = join r(S), or None.
+
+    A separated set has no bottom member, and any two of its members
+    have only bottom as a common lower bound.  The sets are tried in
+    lexicographic order of their sorted members, the empty set first.
+    """
+    n1, n2 = len(rows1), len(rows2)
+    adj = join_of_preimage(rows1, rows2, table)
+    bottom = least_upper_bound(n2, rows2, 0)
+    separated = []
+    for mask in range(1 << n2):
+        members = tuple(i for i in range(n2) if (mask >> i) & 1)
+        if bottom in members:
+            continue
+        if all(lower_bound_mask(n2, rows2, (1 << a) | (1 << b)) == 1 << bottom
+               for a, b in combinations(members, 2)):
+            separated.append((members, mask))
+    for members, mask in sorted(separated):
+        image = 0
+        for s in members:
+            image |= 1 << adj[s]
+        if adj[least_upper_bound(n2, rows2, mask)] != \
+                least_upper_bound(n1, rows1, image):
+            return frozenset(members)
+    return None
+
+
 def d_image(g2, image_mask):
     """D of a chainmail morphism at one totally disconnected set, from the
     definitions: the maximal elements of the least down-closed set that

@@ -10,6 +10,7 @@ from chainmail.category import (
     KChainmail,
     PosetMap,
     ROLES,
+    _adjoint_table,
     carrier_poset,
     chainmail_morphism_tables,
     check_naturality,
@@ -307,6 +308,42 @@ def test_right_adjoint_matches_oracle():
                     l1.poset.above, l2.poset.above, t)
                 checked += 1
     assert checked == 2022
+
+
+def test_adjoint_table_is_join_of_preimage():
+    """The cover-walk adjoint sends y to the join of every x with
+    F(x) <= y, for every table, monotone or not, from lattices n<=5 to
+    lattices n<=4."""
+    targets = lattices_up_to(4)
+    checked = 0
+    for l1 in lattices_up_to(5):
+        for l2 in targets:
+            for t in itertools.product(range(l2.n), repeat=l1.n):
+                assert _adjoint_table(t, l1, l2) == oracles.join_of_preimage(
+                    l1.poset.above, l2.poset.above, t)
+                checked += 1
+    assert checked == 13064
+
+
+def test_separated_joins_witness_matches_oracle():
+    """The strict law names the oracle's first failing separated set, or
+    passes where the oracle finds none, on every join-preserving table
+    from lattices n<=5 to lattices n<=4."""
+    targets = lattices_up_to(4)
+    failing = 0
+    for l1 in lattices_up_to(5):
+        for l2 in targets:
+            for t in join_preserving_tables(l1, l2):
+                want = oracles.first_separated_join_break(
+                    l1.poset.above, l2.poset.above, t)
+                try:
+                    validate_map(l1, l2, t, "connectivity-hom")
+                    got = None
+                except AdjointFailsSeparatedJoins as e:
+                    got = e.witness
+                    failing += 1
+                assert got == want
+    assert failing == 333
 
 
 # -- the K construction ----------------------------------------------------------

@@ -180,6 +180,32 @@ def test_budget_env_must_be_an_integer(cx_file, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_budget_env_must_not_be_negative(cx_file, capsys, monkeypatch):
+    monkeypatch.setenv("CHAINMAIL_BUDGET", "-5")
+    assert main(["render", cx_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: CHAINMAIL_BUDGET must be an integer, at least 0, got '-5'")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "FILE", "--budget", "-5"], "--budget"),
+    (["render", "FILE", "--budget", "-1"], "--budget"),
+    (["enumerate", "-n", "4", "--budget", "-1"], "--budget"),
+    (["represent", "FILE", "--max-points", "4", "--search-budget", "-1"],
+     "--search-budget"),
+    (["represent", "FILE", "--max-points", "4", "--budget", "-2"],
+     "--budget"),
+])
+def test_negative_budget_is_a_usage_error(argv, flag, cx_file, capsys):
+    argv = [cx_file if a == "FILE" else a for a in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be at least 0" in captured.err
+
+
 def test_enumerate_counts(capsys):
     assert main(["enumerate", "-n", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()

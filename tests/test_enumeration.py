@@ -75,6 +75,19 @@ def test_worker_count_independence():
                 == single
 
 
+def test_worker_tally_counts_its_rows():
+    """For a count run a pool worker returns, per size, the number of rows
+    it returns for a catalog run, seed by seed."""
+    for seed in enumerate_posets(5):
+        for flt in FILTERS:
+            rows = enumeration._count_subtrees((seed.above, 7, flt, False))
+            tally = enumeration._count_subtrees((seed.above, 7, flt, True))
+            sizes = {}
+            for r in rows:
+                sizes[len(r)] = sizes.get(len(r), 0) + 1
+            assert tally == sizes
+
+
 def test_pool_workers_are_capped(monkeypatch):
     """The pool starts min(jobs, seeds, CPUs) workers; checked with a
     serial stand-in for the pool, so no process is started."""

@@ -3,6 +3,8 @@
 import pytest
 
 import oracles
+from chainmail.category import identity_map
+from chainmail.enumeration import posets_up_to
 from chainmail.errors import (
     EmptyInput,
     NotALattice,
@@ -23,6 +25,7 @@ from chainmail.lattice import (
     separation_poset,
     star,
 )
+from chainmail.mails import as_chainmail, d_lattice, poset_is_chainmail
 from chainmail.poset import set_of, validate_poset
 from chainmail.sources import powerset_lattice
 
@@ -108,6 +111,40 @@ def test_iter_separated_matches_bruteforce(small_lattices):
         fast = sorted(iter_separated_masks(lat))
         slow = sorted(oracles.separated_subsets(lat.n, lat.meets, lat.bottom))
         assert fast == slow
+
+
+def test_separated_table_matches_walk():
+    """separated() lists the walk's sets in walk order, each with its join
+    and with the index of the set less its highest member, on every
+    lattice n<=7 and on the D lattice of every chainmail n<=5."""
+    lats = []
+    for p in posets_up_to(7):
+        if p.n <= 5 and poset_is_chainmail(p):
+            lats.append(d_lattice(as_chainmail(p)).lattice)
+        try:
+            lats.append(as_complete_lattice(p))
+        except NotALattice:
+            pass
+    for lat in lats:
+        table = lat.separated()
+        assert [e[0] for e in table] == list(iter_separated_masks(lat))
+        assert table[0] == (0, lat.bottom, None, None)
+        for i, (mask, join, parent, last) in enumerate(table[1:], 1):
+            assert join == lat.join_mask(mask)
+            assert last == mask.bit_length() - 1
+            assert parent < i and table[parent][0] == mask ^ (1 << last)
+    assert len(lats) == 78 + 45
+
+
+def test_separated_table_cap():
+    """M17 has 2^17 separated sets of atoms, over the family cap, so the
+    table and the strict connectivity law both refuse it."""
+    covers = [(0, a) for a in range(1, 18)] + [(a, 18) for a in range(1, 18)]
+    m17 = mk_lattice(19, covers)
+    with pytest.raises(SizeBudgetExceeded):
+        m17.separated()
+    with pytest.raises(SizeBudgetExceeded):
+        identity_map(m17, "connectivity-hom")
 
 
 # -- the four element conditions -----------------------------------------------------

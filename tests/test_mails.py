@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 import oracles
-from chainmail.enumeration import enumerate_posets
+from chainmail.enumeration import enumerate_posets, posets_up_to
 from chainmail.errors import (
     AxiomViolation,
     NotAChainmail,
@@ -287,6 +287,24 @@ def test_d_lattice_empty():
 def test_d_lattice_cap():
     with pytest.raises(SizeBudgetExceeded):
         d_lattice(mk_mail(5, []), cap=20)
+
+
+def test_d_lattice_steps_match_td_sets():
+    """Each td set's step names the set less its highest member, at an
+    earlier index, and folding the singletons along the steps gives every
+    td set back as the join of its members: chainmails n<=6."""
+    gs = [as_chainmail(p) for p in posets_up_to(6) if poset_is_chainmail(p)]
+    for g in gs:
+        dl = d_lattice(g)
+        assert dl.td_sets[0] == 0 and dl.steps[0] == (None, None)
+        for i, (parent, last) in enumerate(dl.steps[1:], 1):
+            mask = dl.td_sets[i]
+            assert last == mask.bit_length() - 1
+            assert parent < i and dl.td_sets[parent] == mask ^ (1 << last)
+        singletons = [dl.index_of({e}) for e in range(g.n)]
+        assert dl.join_images(dl.lattice, singletons) == \
+            list(range(len(dl.td_sets)))
+    assert len(gs) == 144
 
 
 def test_d_order_matches_subchainmail_inclusion(small_chainmails, counterexample):
