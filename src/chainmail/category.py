@@ -14,8 +14,7 @@ Everything is checked pointwise at validation time; states the theory
 rules out raise TheoremViolation instead of ordinary input errors.
 """
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .canonical import iter_bits
 from .errors import (
@@ -36,14 +35,16 @@ from .poset import Poset, from_json_dict, pullback, set_of, to_json_dict
 class KChainmail:
     """The chainmail of connected elements of a lattice.
 
-    ``elements[i]`` is the lattice element sitting at carrier index i.
+    ``elements[i]`` is the lattice element sitting at carrier index i,
+    and ``position`` maps each element back to its index.
     """
     lattice: CompleteLattice
     chainmail: Chainmail
     elements: tuple
+    position: dict = field(compare=False)
 
     def index_of(self, lattice_element):
-        return self.elements.index(lattice_element)
+        return self.position[lattice_element]
 
 
 def carrier_poset(x):
@@ -250,7 +251,10 @@ def right_adjoint(f):
 # -- the K and D constructions on objects and morphisms -----------------------
 
 def k_chainmail(lat):
-    """The induced subposet of connected elements, as a chainmail."""
+    """The induced subposet of connected elements, as a chainmail, built
+    once per lattice.  A build that raises keeps nothing."""
+    if lat._k is not None:
+        return lat._k
     elements = sorted(iter_bits(lat.connected_mask()))
     above = pullback(elements, lat.n,
                      [lat.poset.above[e] for e in elements])
@@ -260,38 +264,34 @@ def k_chainmail(lat):
         g = as_chainmail(poset)
     except NotAChainmail as e:  # the theory says this cannot happen
         raise TheoremViolation("k-not-a-chainmail", e.witness) from None
-    return KChainmail(lat, g, tuple(elements))
+    lat._k = KChainmail(lat, g, tuple(elements),
+                        {e: i for i, e in enumerate(elements)})
+    return lat._k
 
 
-def k_on_morphism(f, k1=None, k2=None):
+def k_on_morphism(f):
     """Restrict a (weak) connectivity homomorphism to connected elements."""
-    if k1 is None:
-        k1 = k_chainmail(_lattice_structure(f.source))
-    if k2 is None:
-        k2 = k_chainmail(_lattice_structure(f.target))
-    pos2 = {e: i for i, e in enumerate(k2.elements)}
+    k1 = k_chainmail(_lattice_structure(f.source))
+    k2 = k_chainmail(_lattice_structure(f.target))
     table = []
     for e in k1.elements:
         v = f.table[e]
-        if v not in pos2:
+        if v not in k2.position:
             raise TheoremViolation("connected-element-not-preserved", (e, v))
-        table.append(pos2[v])
+        table.append(k2.position[v])
     try:
         return validate_map(k1, k2, table, "chainmail-morphism")
     except _LAW_ERRORS as e:
         raise TheoremViolation("k-morphism-laws", e.witness) from None
 
 
-def d_on_morphism(m, d1=None, d2=None):
+def d_on_morphism(m):
     """D of a chainmail morphism: a totally disconnected set maps to the
     join of the singletons of its images, i.e. to the maximal elements of
     the subchainmail generated by the image."""
-    if d1 is None:
-        d1 = d_lattice(_chainmail_structure(m.source))
-    if d2 is None:
-        d2 = d_lattice(_chainmail_structure(m.target))
-    # td sets are sorted, so a bisection finds the index of {v}
-    singleton = [bisect_left(d2.td_sets, 1 << v) for v in m.table]
+    d1 = d_lattice(_chainmail_structure(m.source))
+    d2 = d_lattice(_chainmail_structure(m.target))
+    singleton = [d2.index[1 << v] for v in m.table]
     table = d1.join_images(d2.lattice, singleton)
     try:
         return validate_map(d1, d2, table, "connectivity-hom")
@@ -299,21 +299,17 @@ def d_on_morphism(m, d1=None, d2=None):
         raise TheoremViolation("d-morphism-laws", e.witness) from None
 
 
-def d_morphism_adjoint(m, d1=None, d2=None):
+def d_morphism_adjoint(m):
     """The stated adjoint of D(m): D2 maps to (preimage of D2's down-set)*."""
     g1 = _chainmail_structure(m.source)
     g2 = _chainmail_structure(m.target)
-    if d1 is None:
-        d1 = d_lattice(g1)
-    if d2 is None:
-        d2 = d_lattice(g2)
-    index1 = {mask: i for i, mask in enumerate(d1.td_sets)}
+    d1, d2 = d_lattice(g1), d_lattice(g2)
     table = []
     pres = pullback(m.table, g2.n, d2.subchainmails)
     for mask, pre in zip(d2.td_sets, pres):
         star = _x_star_mask(g1, pre)
         try:
-            table.append(index1[star])
+            table.append(d1.index[star])
         except KeyError:
             raise TheoremViolation("d-adjoint-image", set_of(mask)) from None
     return PosetMap(d2, d1, tuple(table), "monotone")
@@ -339,18 +335,15 @@ class CounitData:
     d: DLattice
 
 
-def unit_eta(g, d=None):
-    if d is None:
-        d = d_lattice(g)
+def unit_eta(g):
+    d = d_lattice(g)
     k = k_chainmail(d.lattice)
-    dindex = {mask: i for i, mask in enumerate(d.td_sets)}
-    kpos = {e: i for i, e in enumerate(k.elements)}
     table = []
     for x in range(g.n):
-        i = dindex.get(1 << x)
-        if i is None or i not in kpos:
+        i = d.index.get(1 << x)
+        if i is None or i not in k.position:
             raise TheoremViolation("unit-not-defined", x)
-        table.append(kpos[i])
+        table.append(k.position[i])
     kp = k.chainmail.poset
     if len(set(table)) != g.n or kp.n != g.n:
         raise TheoremViolation("unit-not-bijective", tuple(table))
@@ -370,13 +363,12 @@ def counit_epsilon(lat):
     k = k_chainmail(lat)
     d = d_lattice(k.chainmail)
     table = d.join_images(lat, k.elements)
-    dindex = {mask: i for i, mask in enumerate(d.td_sets)}
     adj = []
     # the connected elements below each x, as a mask over K's carrier
     for x, cmask in enumerate(pullback(k.elements, lat.n, lat.poset.below)):
         star = _x_star_mask(k.chainmail, cmask)
         try:
-            adj.append(dindex[star])
+            adj.append(d.index[star])
         except KeyError:
             raise TheoremViolation("counit-adjoint-image", x) from None
     try:
@@ -425,14 +417,14 @@ def check_triangle_identities(g, lat):
     """
     ud = unit_eta(g)
     cd = counit_epsilon(ud.d.lattice)
-    dm = d_on_morphism(ud.map, d1=ud.d, d2=cd.d)
+    dm = d_on_morphism(ud.map)
     _check_inverse(dm.table, cd.map.table, "triangle-chainmail-side",
                    "triangle-chainmail-side-inverse")
     chain_side = {"d-of-unit": dm.table, "counit-at-d": cd.map.table}
 
     cl = counit_epsilon(lat)
-    uk = unit_eta(cl.k.chainmail, d=cl.d)
-    ke = k_on_morphism(cl.map, k1=uk.k, k2=cl.k)
+    uk = unit_eta(cl.k.chainmail)
+    ke = k_on_morphism(cl.map)
     _check_inverse(uk.map.table, ke.table, "triangle-lattice-side",
                    "triangle-lattice-side-inverse")
     lattice_side = {"unit-at-k": uk.map.table, "k-of-counit": ke.table}
@@ -453,8 +445,8 @@ def check_naturality(f):
         g2 = _chainmail_structure(f.target)
         u1 = unit_eta(g1)
         u2 = unit_eta(g2)
-        dm = d_on_morphism(f, d1=u1.d, d2=u2.d)
-        km = k_on_morphism(dm, k1=u1.k, k2=u2.k)
+        dm = d_on_morphism(f)
+        km = k_on_morphism(dm)
         for x in range(g1.n):
             if km.table[u1.map.table[x]] != u2.map.table[f.table[x]]:
                 raise TheoremViolation("unit-naturality", x)
@@ -465,8 +457,8 @@ def check_naturality(f):
         l2 = _lattice_structure(f.target)
         c1 = counit_epsilon(l1)
         c2 = counit_epsilon(l2)
-        kf = k_on_morphism(f, k1=c1.k, k2=c2.k)
-        dkf = d_on_morphism(kf, d1=c1.d, d2=c2.d)
+        kf = k_on_morphism(f)
+        dkf = d_on_morphism(kf)
         for i in range(len(c1.d.td_sets)):
             if f.table[c1.map.table[i]] != c2.map.table[dkf.table[i]]:
                 raise TheoremViolation("counit-naturality", i)

@@ -1,8 +1,10 @@
 """Size budgets.
 
 All the constructions here are exponential in the worst case; desk scale
-is the target.  Every budget can be overridden per call, and the poset
-cap also via the CHAINMAIL_BUDGET environment variable.
+is the target.  The family cap is one constant, read at call time,
+because the families it bounds are cached on their structures; every
+other budget can be overridden per call, and the poset cap also via the
+CHAINMAIL_BUDGET environment variable.
 """
 
 import os
@@ -30,10 +32,6 @@ def poset_cap(override=None):
         raise ChainmailError(
             f"CHAINMAIL_BUDGET must be an integer, at least 0, got {env!r}")
     return cap
-
-
-def family_cap(override=None):
-    return DEFAULT_FAMILY_CAP if override is None else override
 
 
 def enum_cap(override=None):

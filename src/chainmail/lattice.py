@@ -38,11 +38,11 @@ class CompleteLattice:
     """A finite complete lattice: a Poset plus join/meet tables.
 
     Use :func:`as_complete_lattice` to build one; the constructor assumes
-    the poset really is a lattice.
+    the poset really is a lattice.  ``_k`` caches its K chainmail.
     """
 
     __slots__ = ("poset", "n", "bottom", "top", "joins", "meets",
-                 "_disjoint", "_separated", "_connected_mask")
+                 "_disjoint", "_separated", "_connected_mask", "_k")
 
     def __init__(self, poset, joins, meets, bottom, top):
         self.poset = poset
@@ -54,6 +54,7 @@ class CompleteLattice:
         self._disjoint = None
         self._separated = None
         self._connected_mask = None
+        self._k = None
 
     def __repr__(self):
         return f"CompleteLattice(n={self.n}, bottom={self.bottom}, top={self.top})"
@@ -93,11 +94,11 @@ class CompleteLattice:
         ``parent`` is the index of the set less its highest member
         ``last``, always an earlier entry, so each join is one join from
         its parent's.  Entry 0 is the empty set, with parent and last
-        None.  More than ``config.family_cap()`` sets raise
+        None.  More than ``config.DEFAULT_FAMILY_CAP`` sets raise
         SizeBudgetExceeded.
         """
         if self._separated is None:
-            cap = config.family_cap()
+            cap = config.DEFAULT_FAMILY_CAP
             joins = self.joins
             index = {}
             out = []
@@ -373,8 +374,8 @@ class SeparationPoset:
     nu: tuple
 
 
-def separation_poset(lat, cap=None):
-    cap = config.family_cap(cap)
+def separation_poset(lat):
+    cap = config.DEFAULT_FAMILY_CAP
     masks = []
     for m in iter_separated_masks(lat, lat.connected_mask()):
         masks.append(m)
@@ -393,14 +394,14 @@ def separation_poset(lat, cap=None):
     return SeparationPoset(lat, poset, tuple(masks), nu)
 
 
-def nu_classification(lat, cap=None):
+def nu_classification(lat):
     """Classify the join map out of the separation poset.
 
     Returns "iso", "surjective-not-iso", or "not-surjective", and checks
     the equivalence (iso <=> surjective <=> locally connected); a mismatch
     raises TheoremViolation since the theory rules it out.
     """
-    sp = separation_poset(lat, cap)
+    sp = separation_poset(lat)
     image = set(sp.nu)
     surjective = len(image) == lat.n
     injective = len(image) == len(sp.nu)

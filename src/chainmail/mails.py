@@ -8,7 +8,7 @@ mail's lower bound), and the fold is the least upper bound.  The test
 suite cross-checks this against the exponential all-mails definition.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import config
 from .canonical import iter_bits
@@ -29,16 +29,17 @@ class Chainmail:
 
     ``joins[i][j]`` is the join of the mail {i, j} (i on the diagonal), or
     None when i and j have no common lower bound; ``overlap[i]`` is the
-    mask of the j whose join with i is defined.
+    mask of the j whose join with i is defined; ``_d`` caches its D.
     """
 
-    __slots__ = ("poset", "n", "joins", "overlap")
+    __slots__ = ("poset", "n", "joins", "overlap", "_d")
 
     def __init__(self, poset, joins, overlap):
         self.poset = poset
         self.n = poset.n
         self.joins = joins
         self.overlap = overlap
+        self._d = None
 
     def __repr__(self):
         return f"Chainmail(n={self.n})"
@@ -235,15 +236,17 @@ class DLattice:
     member of D1 lies below some member of D2.  ``steps[i]`` is
     ``(parent, last)``: td set i is td set ``parent`` plus its highest
     member ``last``; the empty td set 0 has ``(None, None)``.
+    ``index`` maps each td set's mask to its position.
     """
     chainmail: Chainmail
     lattice: CompleteLattice
     td_sets: tuple
     subchainmails: tuple
     steps: tuple
+    index: dict = field(compare=False)
 
     def index_of(self, members):
-        return self.td_sets.index(mask_of(members))
+        return self.index[mask_of(members)]
 
     def join_images(self, lat, images):
         """For each td set in order, the join in ``lat`` of ``images[e]``
@@ -256,15 +259,18 @@ class DLattice:
         return out
 
 
-def d_lattice(g, cap=None):
-    """Materialize the lattice of totally disconnected sets.
+def d_lattice(g):
+    """The lattice of totally disconnected sets, built once per chainmail.
 
     Joins go through the dictionary (generate the subchainmail of the
     union of down-closures, take its maximal elements); meets intersect
     down-closures.  Cost is quadratic in the number of td sets, which is
     worst-case exponential in the carrier; the family cap guards that.
+    A build that raises keeps nothing.
     """
-    cap = config.family_cap(cap)
+    if g._d is not None:
+        return g._d
+    cap = config.DEFAULT_FAMILY_CAP
     p = g.poset
     tds = []
     for m in iter_td_masks(g):
@@ -313,4 +319,5 @@ def d_lattice(g, cap=None):
     for m in tds[1:]:
         last = m.bit_length() - 1
         steps.append((index[m ^ (1 << last)], last))
-    return DLattice(g, lat, tuple(tds), tuple(down), tuple(steps))
+    g._d = DLattice(g, lat, tuple(tds), tuple(down), tuple(steps), index)
+    return g._d

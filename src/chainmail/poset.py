@@ -214,12 +214,6 @@ class Poset:
     def meet_mask(self, mask):
         return self.greatest_of(self.lower_mask(mask))
 
-    def bottom(self):
-        return self.least_of(self.full_mask())
-
-    def top(self):
-        return self.greatest_of(self.full_mask())
-
     def is_down_closed(self, mask):
         return self.down_closure(mask) == mask
 
@@ -455,10 +449,8 @@ def from_json_dict(data, budget=None):
 def heights(p):
     """Longest-chain-from-a-minimal-element height of every element."""
     h = [0] * p.n
-    order = sorted(range(p.n), key=lambda i: bin(p.below[i]).count("1"))
-    for i in order:
-        strictly = p.below[i] & ~(1 << i)
-        h[i] = max((h[j] + 1 for j in iter_bits(strictly)), default=0)
+    for y, covers in p.lower_covers():
+        h[y] = max((h[c] + 1 for c in covers), default=0)
     return h
 
 

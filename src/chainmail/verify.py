@@ -179,13 +179,12 @@ def check_adjunction_bijection(g, lat, weak=False):
 
     def transpose(table):
         f = category.PosetMap(g, k, table, "chainmail-morphism")
-        df = category.d_on_morphism(f, d1=d, d2=eps.d)
+        df = category.d_on_morphism(f)
         return tuple(eps.map.table[v] for v in df.table)
 
     def untranspose(table):
         back = category.k_on_morphism(
-            category.PosetMap(d, lat, table, "connectivity-hom"),
-            k1=eta.k, k2=k)
+            category.PosetMap(d, lat, table, "connectivity-hom"))
         return tuple(back.table[v] for v in eta.map.table)
 
     right_set = set(right)

@@ -462,13 +462,11 @@ def test_d_adjoint_agrees_with_right_adjoint():
             if poset_is_chainmail(p):
                 gs.append(as_chainmail(p))
     for g1 in gs:
-        d1 = d_lattice(g1)
         for g2 in gs:
-            d2 = d_lattice(g2)
             for table in chainmail_morphism_tables(g1, g2):
                 m = PosetMap(g1, g2, tuple(table), "chainmail-morphism")
-                stated = d_morphism_adjoint(m, d1=d1, d2=d2)
-                computed = right_adjoint(d_on_morphism(m, d1=d1, d2=d2))
+                stated = d_morphism_adjoint(m)
+                computed = right_adjoint(d_on_morphism(m))
                 assert stated.table == computed.table
 
 
@@ -482,7 +480,7 @@ def test_d_on_morphism_matches_oracle():
             d2 = d_lattice(g2)
             for table in chainmail_morphism_tables(g1, g2):
                 m = PosetMap(g1, g2, table, "chainmail-morphism")
-                df = d_on_morphism(m, d1=d1, d2=d2)
+                df = d_on_morphism(m)
                 for i, mask in enumerate(d1.td_sets):
                     image = 0
                     for e in set_of(mask):
@@ -562,6 +560,8 @@ def test_epsilon_iso_iff_locally_connected():
             except NotALattice:
                 continue
             assert is_epsilon_iso(lat) == is_locally_connected(lat)
+            k = k_chainmail(lat)
+            assert all(k.position[e] == i for i, e in enumerate(k.elements))
             checked += 1
     assert checked == 25
 
@@ -582,6 +582,20 @@ def test_separation_poset_is_d_of_k(small_lattices):
         )
         assert sorted(sp.sets) == translated
         assert sp.poset.canonical() == dl.lattice.poset.canonical()
+
+
+def test_constructions_built_once():
+    """D and K are built once per structure: later calls, the unit and
+    the counit all get the same objects back."""
+    for g in chainmails_up_to(4):
+        assert d_lattice(g) is d_lattice(g)
+        assert unit_eta(g).d is d_lattice(g)
+    for lat in lattices_up_to(5):
+        k = k_chainmail(lat)
+        assert k_chainmail(lat) is k
+        cd = counit_epsilon(lat)
+        assert cd.k is k
+        assert cd.d is d_lattice(k.chainmail)
 
 
 # -- triangles, naturality, and the hom bijection -----------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 import oracles
+from chainmail import config
 from chainmail.category import identity_map
 from chainmail.enumeration import posets_up_to
 from chainmail.errors import (
@@ -287,10 +288,11 @@ def test_separation_poset_m3(m3):
     assert sp.nu == (0,)
 
 
-def test_separation_poset_cap(m3):
+def test_separation_poset_cap(m3, monkeypatch):
     lat = powerset_lattice(2)
+    monkeypatch.setattr(config, "DEFAULT_FAMILY_CAP", 2)
     with pytest.raises(SizeBudgetExceeded):
-        separation_poset(lat, cap=2)
+        separation_poset(lat)
 
 
 def test_separation_poset_members_are_separated(small_lattices):

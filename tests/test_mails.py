@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 import oracles
+from chainmail import config
 from chainmail.enumeration import enumerate_posets, posets_up_to
 from chainmail.errors import (
     AxiomViolation,
@@ -284,18 +285,27 @@ def test_d_lattice_empty():
     assert dl.td_sets == (0,)
 
 
-def test_d_lattice_cap():
-    with pytest.raises(SizeBudgetExceeded):
-        d_lattice(mk_mail(5, []), cap=20)
+def test_d_lattice_cap(monkeypatch):
+    """Past the family cap D raises and keeps nothing: the same chainmail
+    raises again, and builds once the cap is back."""
+    g = mk_mail(5, [])
+    with monkeypatch.context() as m:
+        m.setattr(config, "DEFAULT_FAMILY_CAP", 20)
+        for _ in range(2):
+            with pytest.raises(SizeBudgetExceeded):
+                d_lattice(g)
+    assert len(d_lattice(g).td_sets) == 32
 
 
 def test_d_lattice_steps_match_td_sets():
     """Each td set's step names the set less its highest member, at an
-    earlier index, and folding the singletons along the steps gives every
-    td set back as the join of its members: chainmails n<=6."""
+    earlier index, the index finds each td set at its position, and
+    folding the singletons along the steps gives every td set back as the
+    join of its members: chainmails n<=6."""
     gs = [as_chainmail(p) for p in posets_up_to(6) if poset_is_chainmail(p)]
     for g in gs:
         dl = d_lattice(g)
+        assert all(dl.index[m] == i for i, m in enumerate(dl.td_sets))
         assert dl.td_sets[0] == 0 and dl.steps[0] == (None, None)
         for i, (parent, last) in enumerate(dl.steps[1:], 1):
             mask = dl.td_sets[i]
