@@ -475,9 +475,9 @@ def check_naturality(f):
 
 # -- hom-set enumeration -------------------------------------------------------
 #
-# The four enumerators run one search, ``_tables``.  Only the strict
-# connectivity law, a global condition on the right adjoint, filters
-# finished tables.
+# The four enumerators run one search, ``_tables``.  Both readings of
+# connectivity homs share one search over the weak masks; the strict law,
+# a global condition on the right adjoint, filters its finished tables.
 
 def _tables(p1, p2, joins1=None, joins2=None, allowed=None):
     """Every monotone table p1 -> p2 with table[x] in the mask allowed[x]
@@ -564,17 +564,22 @@ def connectivity_hom_tables(l1, l2, weak=False):
     Weak homs are the join-preserving tables that send connected elements
     to connected elements, so the search draws those values from the
     connected elements of l2.  Strict homs are the join-preserving tables
-    whose right adjoint preserves joins of separated sets.
+    whose right adjoint G preserves joins of separated sets.  Each is weak,
+    so they are drawn from the same search: G(0) = 0 gives F(c) != 0, and
+    if F(c) <= join S for a separated S, then c <= G(join S), the join of
+    G(S), which is separated once 0 is dropped (G keeps meets); c is
+    connected, so c <= G(s) and F(c) <= s for some s in S.
     """
-    if not weak:
-        yield from (t for t in join_preserving_tables(l1, l2)
-                    if _holds(_check_adjoint_separated_joins, l1, l2, t))
-        return
     conn1, conn2 = l1.connected_mask(), l2.connected_mask()
     allowed = [conn2 if conn1 >> x & 1 else l2.poset.full_mask()
                for x in range(l1.n)]
     allowed[l1.bottom] = 1 << l2.bottom
-    yield from _tables(l1.poset, l2.poset, l1.joins, l2.joins, allowed)
+    found = _tables(l1.poset, l2.poset, l1.joins, l2.joins, allowed)
+    if weak:
+        yield from found
+    else:
+        yield from (t for t in found
+                    if _holds(_check_adjoint_separated_joins, l1, l2, t))
 
 
 # -- interchange ---------------------------------------------------------------

@@ -388,23 +388,21 @@ def test_k_on_empty_source(m3):
 
 
 def test_homs_preserve_connected_and_adjoint_preserves_separation():
-    """Each strict connectivity homomorphism between lattices of up to 5
+    """Each strict connectivity homomorphism into a lattice of up to 5
     elements maps connected elements to connected elements, and its
     adjoint sends the bottom to the bottom and separated sets to
-    separated sets.  Weak homomorphisms include every strict one."""
+    separated sets.  Weak homomorphisms include every strict one.  The
+    sources are the lattices of up to 5 elements and the D lattices of
+    the chainmails of up to 4; the strict homs are the join-preserving
+    tables validate_map accepts, found without the weak search."""
     from chainmail.category import _adjoint_table
     from chainmail.lattice import is_separated, iter_separated_masks
 
-    lats = []
-    for size in range(1, 6):
-        for p in enumerate_posets(size):
-            try:
-                lats.append(as_complete_lattice(p))
-            except NotALattice:
-                continue
-    for l1 in lats:
-        for l2 in lats:
-            strict = {tuple(t) for t in connectivity_hom_tables(l1, l2)}
+    targets = lattices_up_to(5)
+    sources = targets + [d_lattice(g).lattice for g in chainmails_up_to(4)]
+    for l1 in sources:
+        for l2 in targets:
+            strict = set(strict_homs_by_validation(l1, l2))
             weak = {tuple(t) for t in connectivity_hom_tables(l1, l2,
                                                               weak=True)}
             assert strict <= weak
@@ -668,6 +666,19 @@ def accepted_tables(source, target, role):
     return out
 
 
+def strict_homs_by_validation(l1, l2):
+    """The join-preserving tables l1 -> l2 that validate_map accepts as
+    connectivity homs, in join_preserving_tables order."""
+    out = []
+    for table in join_preserving_tables(l1, l2):
+        try:
+            validate_map(l1, l2, table, "connectivity-hom")
+        except ChainmailError:
+            continue
+        out.append(table)
+    return out
+
+
 def preserves_joins(l1, l2, table):
     try:
         right_adjoint(PosetMap(l1, l2, table, "monotone"))
@@ -699,6 +710,20 @@ def test_enumerators_match_brute_force():
                 accepted_tables(l1, l2, "connectivity-hom")
             assert sorted(connectivity_hom_tables(l1, l2, weak=True)) == \
                 accepted_tables(l1, l2, "weak-connectivity-hom")
+
+
+def test_strict_homs_out_of_d_lattices_match_filtered_search():
+    """Out of the D lattice of every chainmail of up to 4 elements into
+    every lattice of up to 5, the strict connectivity homs are the
+    join-preserving tables validate_map accepts, in the same order: the
+    strict search loses no hom and keeps the order its first witness
+    depends on."""
+    targets = lattices_up_to(5)
+    for g in chainmails_up_to(4):
+        l1 = d_lattice(g).lattice
+        for l2 in targets:
+            assert list(connectivity_hom_tables(l1, l2)) == \
+                strict_homs_by_validation(l1, l2)
 
 
 def test_hom_bijection_exhaustive():
