@@ -9,7 +9,9 @@ to connected elements).  The D construction turns a chainmail into its
 lattice of totally disconnected sets and a chainmail morphism into a
 connectivity homomorphism; K cuts a lattice down to its chainmail of
 connected elements.  D is left adjoint to K, the unit x -> {x} is an
-isomorphism, and the counit D(K(L)) -> L (join the set) is injective.
+isomorphism, and the counit D(K(L)) -> L (join the set) is an
+isomorphism exactly on the locally connected lattices; elsewhere it need
+not even be injective.
 Everything is checked pointwise at validation time; states the theory
 rules out raise TheoremViolation instead of ordinary input errors.
 """
@@ -377,8 +379,6 @@ def counit_epsilon(lat):
         raise TheoremViolation("counit-laws", e.witness) from None
     if tuple(adj) != _adjoint_table(table, d.lattice, lat):
         raise TheoremViolation("counit-adjoint-formula", tuple(adj))
-    if len(set(table)) != len(table):
-        raise TheoremViolation("counit-not-mono", tuple(table))
     return CounitData(counit, PosetMap(lat, d, tuple(adj), "monotone"), k, d)
 
 

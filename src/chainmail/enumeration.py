@@ -16,21 +16,42 @@ maximal element it leaves maximal is rejected before the child is
 built, and one larger than all of theirs is kept unlabeled.  Only ties
 are labeled to decide them.
 
-Counting runs keep the whole tree: a poset that is not a chainmail can
-still have chainmail descendants (later elements may supply the missing
-joins), so structure filters are applied to the visited posets, never
-used for pruning.
+The chainmail filters walk a pruned tree.  Call a poset
+*top-completable* when every 2-element mail that has an upper bound has
+a least one, that is, when P with a new top adjoined (P + top) is a
+chainmail.  In a mail-connected chainmail the whole carrier is a
+mail-connected set, so it has a join, a top; removing it matches the
+mail-connected chainmails on n+1 elements one-to-one with the
+top-completable posets on n.  So the census walks the top-completable
+posets to n-1, from the empty poset (whose P + top is the singleton),
+and yields P + top for each.  That child is accepted unlabeled, so the
+representative is the one the walk of all posets would give.  Every
+chainmail is top-completable, so the chainmails filter walks the same
+tree to n and keeps the chainmails it visits.
+
+Pruning is sound.  Each added element is maximal when added, so it
+never lies below an old upper bound: a pair with upper bounds but no
+least one keeps that obstruction in every descendant, and every
+ancestor of a top-completable poset is top-completable.  A child over
+the down-set D stays top-completable exactly when D is closed under the
+parent's defined pair joins, for then each pair inside D that has a
+join k keeps k, which lies below the new element, as its least upper
+bound.  The test is invariant under automorphisms, so it filters the
+down-sets before their orbits are taken.  The join table travels down
+the recursion: in the child the pairs inside D that had no upper bound
+get the new element as their join, and nothing else changes.
 """
 
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 
 from . import config
 from .canonical import canonical_maximal_position, iter_bits
 from .errors import AxiomViolation, NotAChainmail, SizeBudgetExceeded
-from .mails import as_chainmail, iter_td_masks
+from .mails import as_chainmail, iter_td_masks, poset_is_chainmail
 from .poset import Poset, _down_closed_masks, to_dot
 
 FILTERS = ("all-posets", "chainmails", "mail-connected-chainmails")
@@ -87,8 +108,9 @@ def _orbit(gens, mask):
     return orbit
 
 
-def _downset_orbit_reps(p):
-    """The least down-closed subset of each automorphism orbit, ascending.
+def _downset_orbit_reps(p, keep=None):
+    """The least down-closed subset of each automorphism orbit, ascending;
+    with ``keep``, an automorphism-invariant test, only orbits it passes.
 
     Orbits are closed under the generators :meth:`Poset.automorphisms`
     returns, acting on bits; no labeling beyond the parent's own is run.
@@ -97,10 +119,76 @@ def _downset_orbit_reps(p):
     reps = []
     seen = set()
     for mask in _down_closed_masks(p):
-        if mask not in seen:
+        if mask not in seen and (keep is None or keep(mask)):
             reps.append(mask)
             seen |= _orbit(gens, mask)
     return reps
+
+
+def _top_joins(p):
+    """The join table of the top-completable poset ``p``: ``(free, joined)``.
+
+    ``free[i]`` is the mask of the j for which {i, j} is a mail with no
+    upper bound.  ``joined[i]`` lists, by ascending k, the pairs ``(k,
+    js)``: ``js`` is the mask of the j > i incomparable with i for which
+    {i, j} is a mail with join k.  Comparable pairs are left out, since a
+    down-set holding both holds their join.
+    """
+    n, above, below = p.n, p.above, p.below
+    free = [0] * n
+    joined = [{} for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not below[i] & below[j] or (above[i] >> j) & 1 \
+                    or (above[j] >> i) & 1:
+                continue
+            ub = above[i] & above[j]
+            if ub:
+                k = p.least_of(ub)
+                joined[i][k] = joined[i].get(k, 0) | 1 << j
+            else:
+                free[i] |= 1 << j
+                free[j] |= 1 << i
+    return tuple(free), tuple(tuple(sorted(row.items())) for row in joined)
+
+
+def _join_closed(joined, dmask):
+    """Whether the down-set ``dmask`` holds the join of each mail in it."""
+    rest = dmask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for k, js in joined[low.bit_length() - 1]:
+            if js & dmask and not (dmask >> k) & 1:
+                return False
+    return True
+
+
+def _child_joins(p, joins, dmask):
+    """The join table of ``_extend(p, dmask)``, from ``p``'s: the mails
+    inside ``dmask`` with no upper bound get the new element z as their
+    join, and the elements outside ``dmask`` whose down-sets meet it form
+    mails with z that have no upper bound."""
+    free, joined = joins
+    z = p.n
+    zbit = 1 << z
+    child_free = list(free)
+    child_joined = list(joined)
+    hang = 0
+    for i, f in enumerate(free):
+        if (dmask >> i) & 1:
+            inside = f & dmask
+            if inside:
+                child_free[i] = f ^ inside
+                higher = inside & -(2 << i)
+                if higher:
+                    child_joined[i] = joined[i] + ((z, higher),)
+        elif p.below[i] & dmask:
+            child_free[i] = f | zbit
+            hang |= 1 << i
+    child_free.append(hang)
+    child_joined.append(())
+    return tuple(child_free), tuple(child_joined)
 
 
 def _extend(p, dmask):
@@ -109,7 +197,7 @@ def _extend(p, dmask):
     above = [row | bit if (dmask >> i) & 1 else row
              for i, row in enumerate(p.above)]
     above.append(bit)
-    return Poset(above)
+    return Poset(above, below=p.below + (dmask | bit,))
 
 
 def _accepted(child):
@@ -131,8 +219,11 @@ def _accepted(child):
     return (1 << z) in _orbit(child.automorphisms(), 1 << w)
 
 
-def _children(p):
-    """The accepted children of ``p``, one per down-set orbit, in order.
+def _children(p, joins=None):
+    """The accepted children of ``p``, one per down-set orbit, in order,
+    as ``(child, child's join table)``.  Given ``p``'s join table, only
+    the children that stay top-completable; without one, every child,
+    with None.
 
     Refinement first ranks elements by (strict down-set size, strict
     up-set size) and later only splits ranks.  So a new element ranked
@@ -141,7 +232,8 @@ def _children(p):
     class, at the canonical maximal position.
     """
     maximal = [m for m in range(p.n) if p.above[m] == 1 << m]
-    for dmask in _downset_orbit_reps(p):
+    keep = None if joins is None else partial(_join_closed, joins[1])
+    for dmask in _downset_orbit_reps(p, keep):
         need = max((p.below[m].bit_count() for m in maximal
                     if not (dmask >> m) & 1), default=0) - 1
         d = dmask.bit_count()
@@ -149,15 +241,17 @@ def _children(p):
             continue
         child = _extend(p, dmask)
         if d > need or _accepted(child):
-            yield child
+            yield child, (None if joins is None
+                          else _child_joins(p, joins, dmask))
 
 
-def _walk(p, n):
-    """Yield ``p`` and every accepted descendant up to size ``n``."""
+def _walk(p, n, joins=None):
+    """Yield ``p`` and every accepted descendant up to size ``n``; given
+    ``p``'s join table, only the top-completable ones."""
     yield p
     if p.n < n:
-        for child in _children(p):
-            yield from _walk(child, n)
+        for child, child_joins in _children(p, joins):
+            yield from _walk(child, n, child_joins)
 
 
 def _walk_from_unit(n):
@@ -191,27 +285,50 @@ def _mail_connected(g):
     return len(g.components_of(g.poset.full_mask())) == 1
 
 
-def _passes(p, which):
+def _tree(which, size):
+    """``(root, root's join table, depth)`` of the walk behind a filter.
+
+    All posets: every poset from the singleton to ``size``.  Chainmails:
+    the top-completable posets from the singleton to ``size``.  The
+    census: the top-completable posets from the empty one to ``size - 1``,
+    each P standing for P + top.
+    """
     if which == "all-posets":
-        return True
-    try:
-        g = as_chainmail(p)
-    except NotAChainmail:
-        return False
-    return which == "chainmails" or _mail_connected(g)
+        return Poset((1,)), None, size
+    if which == "chainmails":
+        root = Poset((1,))
+    else:
+        root, size = Poset(()), size - 1
+    return root, _top_joins(root), size
+
+
+def _kept(p, which):
+    """Whether the visited ``p`` stands for a structure under the filter."""
+    return which != "chainmails" or poset_is_chainmail(p)
+
+
+def _structure(p, which):
+    """The structure the visited ``p`` stands for: P + top in the census."""
+    if which == "mail-connected-chainmails":
+        return _extend(p, p.full_mask())
+    return p
 
 
 def _count_subtrees(args):
-    """Pool worker: the passing proper descendants of one seed, as rows,
-    or with ``tally`` as a count per size."""
-    rows, n, which, tally = args
-    found = (q for child in _children(Poset(rows)) for q in _walk(child, n)
-             if _passes(q, which))
+    """Pool worker: the structures of one seed's proper descendants, as
+    rows, or with ``tally`` as a count per size."""
+    rows, size, which, tally = args
+    seed = Poset(rows)
+    depth = _tree(which, size)[2]
+    joins = None if which == "all-posets" else _top_joins(seed)
+    found = (q for child, child_joins in _children(seed, joins)
+             for q in _walk(child, depth, child_joins) if _kept(q, which))
     if not tally:
-        return [q.above for q in found]
+        return [_structure(q, which).above for q in found]
+    lift = size - depth
     counts = {}
     for q in found:
-        counts[q.n] = counts.get(q.n, 0) + 1
+        counts[q.n + lift] = counts.get(q.n + lift, 0) + 1
     return counts
 
 
@@ -223,22 +340,24 @@ def _pool_context():
 
 
 def _passing(task, tally=False):
-    """Every visited poset up to ``task.size`` that passes the filter, as a
+    """Every structure up to ``task.size`` that passes the filter, as a
     :class:`Poset`, or with ``tally`` as ``(size, count)`` pairs.
 
-    With one job, or up to the split size, this is one serial walk.
-    Otherwise the walk stops at the split size and each seed there is
-    one pool task; subtrees differ widely in size, so tasks are handed
-    out one at a time and their results stream back as each finishes.
-    For a tally a worker returns its count per size; otherwise it returns
-    rows, which become posets here.  Serial posets are yielded as the
-    walk built them, so none is labeled twice.
+    With one job, or when the walk is no deeper than the split size, this
+    is one serial walk.  Otherwise the walk stops at the split size and
+    each seed there is one pool task; subtrees differ widely in size, so
+    tasks are handed out one at a time and their results stream back as
+    each finishes.  For a tally a worker returns its count per size;
+    otherwise it returns rows, which become posets here.  Serial
+    structures are yielded as built here, so none is labeled twice.
     """
-    single = task.jobs == 1 or task.size <= _SPLIT_SIZE
+    root, joins, depth = _tree(task.filter, task.size)
+    lift = task.size - depth
+    single = task.jobs == 1 or depth <= _SPLIT_SIZE
     seeds = []
-    for p in _walk_from_unit(task.size if single else _SPLIT_SIZE):
-        if _passes(p, task.filter):
-            yield (p.n, 1) if tally else p
+    for p in _walk(root, depth if single else _SPLIT_SIZE, joins):
+        if _kept(p, task.filter):
+            yield (p.n + lift, 1) if tally else _structure(p, task.filter)
         if not single and p.n == _SPLIT_SIZE:
             seeds.append((p.above, task.size, task.filter, tally))
     if single:

@@ -102,17 +102,19 @@ class Poset:
     """An immutable finite poset.
 
     The constructor trusts its argument: ``above`` must already be a valid
-    reflexive-transitive up-set table.  Use :func:`validate_poset` for
-    anything that arrives from outside the package.
+    reflexive-transitive up-set table, and ``below``, when given, its
+    transpose.  Use :func:`validate_poset` for anything that arrives from
+    outside the package.
     """
 
     __slots__ = ("n", "above", "below", "labels", "_code", "_perm", "_autos",
                  "_lower_covers")
 
-    def __init__(self, above, labels=None):
+    def __init__(self, above, labels=None, below=None):
         self.n = len(above)
         self.above = tuple(above)
-        self.below = tuple(transpose(self.n, above))
+        self.below = tuple(transpose(self.n, above) if below is None
+                           else below)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != self.n:

@@ -351,3 +351,44 @@ def downset_masks(n, rows):
         if ok:
             out.append(mask)
     return out
+
+
+# -- the census the long way ----------------------------------------------------
+
+def classify_by_full_walk(posets):
+    """Sort every poset of a walk over all posets into chainmails and
+    mail-connected chainmails, straight from the pairwise criterion.
+
+    ``posets`` yields up-set rows.  A pair sharing a lower bound must have
+    a least upper bound, and mail components are grown by union-find over
+    those pairs.  Returns ``(chainmails, mail_connected)``, each a dict
+    from size to the sorted list of rows.
+    """
+    chain, connected = {}, {}
+    for rows in posets:
+        n = len(rows)
+        cols = [sum(1 << i for i in range(n) if (rows[i] >> j) & 1)
+                for j in range(n)]
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        ok = True
+        for a, b in combinations(range(n), 2):
+            if cols[a] & cols[b]:
+                if least_upper_bound(n, rows, (1 << a) | (1 << b)) is None:
+                    ok = False
+                    break
+                parent[find(a)] = find(b)
+        if not ok:
+            continue
+        chain.setdefault(n, []).append(tuple(rows))
+        if len({find(i) for i in range(n)}) == 1:
+            connected.setdefault(n, []).append(tuple(rows))
+    for found in (chain, connected):
+        for rows in found.values():
+            rows.sort()
+    return chain, connected

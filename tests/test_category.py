@@ -53,6 +53,7 @@ from chainmail.lattice import (
 from chainmail.mails import as_chainmail, d_lattice, poset_is_chainmail
 from chainmail.poset import Poset, set_of, validate_poset
 from chainmail.sources import powerset_lattice
+from chainmail.verify import run_suite
 
 
 def mk_poset(size, covers):
@@ -537,6 +538,27 @@ def test_counit_on_m3(m3):
     assert cd.map.table == (0,)
     assert cd.adjoint.table == (0, 0, 0, 0, 0)
     assert not is_epsilon_iso(m3)
+
+
+def test_counit_on_m3_under_a_diamond():
+    """The counit need not be injective off the locally connected
+    lattices.  In M3 under a diamond (covers 0<1,2,3<4<5,6<7) the
+    connected elements are 5, 6 and 7: no atom is connected (1 <= 2v3
+    with 2^3 = 0), and 4 = 1v2 is not.  So 5 and 6 share no connected
+    lower bound, {5,6} is totally disconnected in K, and both {5,6} and
+    {7} join to 7."""
+    lat = mk_lattice(8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4),
+                         (4, 5), (4, 6), (5, 7), (6, 7)])
+    cd = counit_epsilon(lat)
+    assert cd.k.elements == (5, 6, 7)
+    d = cd.d
+    assert sorted(cd.map.table) == [0, 5, 6, 7, 7]
+    assert {d.td_sets[i] for i, v in enumerate(cd.map.table) if v == 7} \
+        == {0b011, 0b100}
+    assert not is_epsilon_iso(lat)
+    assert not is_locally_connected(lat)
+    report = run_suite("local-connectivity", max_size=8)
+    assert (report.ok(), report.checked) == (True, 300)
 
 
 def test_counit_on_point():

@@ -59,33 +59,95 @@ def test_counts_per_filter():
 def test_chainmails_are_multisets_of_mail_connected_ones():
     """Per-size chainmail counts are the Euler transform of the
     mail-connected counts: a chainmail is a disjoint union of
-    mail-connected components, up to size 6."""
+    mail-connected components, up to size 7."""
     connected = count_chainmails(
-        EnumerationTask(6, "mail-connected-chainmails"))
-    all_chain = count_chainmails(EnumerationTask(6, "chainmails"))
-    want = oracles.euler_transform([connected[s] for s in range(1, 7)])
-    assert [all_chain[s] for s in range(1, 7)] == want
+        EnumerationTask(7, "mail-connected-chainmails"))
+    all_chain = count_chainmails(EnumerationTask(7, "chainmails"))
+    want = oracles.euler_transform([connected[s] for s in range(1, 8)])
+    assert want == [1, 2, 4, 10, 28, 99, 430]
+    assert [all_chain[s] for s in range(1, 8)] == want
+
+
+def test_pruned_walk_matches_filtered_full_walk():
+    """The census by top removal yields, size by size, exactly the
+    representatives that filtering the walk over all posets finds: the
+    mail-connected chainmails up to size 8 and the chainmails up to 7."""
+    chain, connected = oracles.classify_by_full_walk(
+        p.above for p in enumeration.posets_up_to(8))
+    for flt, want, size in (("mail-connected-chainmails", connected, 8),
+                            ("chainmails", chain, 7)):
+        got = {}
+        for p in enumeration._passing(EnumerationTask(size, flt)):
+            got.setdefault(p.n, []).append(p.above)
+        assert {n: sorted(rows) for n, rows in got.items()} \
+            == {n: want[n] for n in range(1, size + 1)}
+        assert count_chainmails(EnumerationTask(size, flt)) \
+            == {n: len(want[n]) for n in range(1, size + 1)}
+
+
+def _top_completable(p):
+    """Every 2-element mail with an upper bound has a least one."""
+    for i in range(p.n):
+        for j in range(i + 1, p.n):
+            ub = p.above[i] & p.above[j]
+            if p.below[i] & p.below[j] and ub and p.least_of(ub) is None:
+                return False
+    return True
+
+
+def test_join_closure_decides_top_completable_children():
+    """Over every down-set of every top-completable poset up to size 5,
+    the child stays top-completable iff the down-set is closed under the
+    parent's pair joins; and the walk meets every top-completable poset."""
+    root, joins, depth = enumeration._tree("chainmails", 5)
+    seen = 0
+    for p in enumeration._walk(root, depth, joins):
+        joined = enumeration._top_joins(p)[1]
+        for dmask in oracles.downset_masks(p.n, p.above):
+            child = enumeration._extend(p, dmask)
+            assert enumeration._join_closed(joined, dmask) \
+                == _top_completable(child)
+        seen += 1
+    assert seen == sum(_top_completable(p)
+                       for p in enumeration.posets_up_to(5))
+
+
+def test_join_table_carried_down_matches_rebuilt():
+    """The join table each child inherits equals the one built from the
+    child's order, at every node of the top-completable tree to size 7."""
+    def check(p, joins, depth):
+        assert joins == enumeration._top_joins(p)
+        if p.n < depth:
+            for child, child_joins in enumeration._children(p, joins):
+                check(child, child_joins, depth)
+
+    root, joins, _ = enumeration._tree("mail-connected-chainmails", 8)
+    check(root, joins, 7)
 
 
 def test_worker_count_independence():
-    for flt in ("all-posets", "mail-connected-chainmails"):
-        single = count_chainmails(EnumerationTask(6, flt))
+    for flt in FILTERS:
+        single = count_chainmails(EnumerationTask(7, flt))
         for jobs in (2, 8):
-            assert count_chainmails(EnumerationTask(6, flt, jobs=jobs)) \
+            assert count_chainmails(EnumerationTask(7, flt, jobs=jobs)) \
                 == single
 
 
 def test_worker_tally_counts_its_rows():
     """For a count run a pool worker returns, per size, the number of rows
-    it returns for a catalog run, seed by seed."""
-    for seed in enumerate_posets(5):
-        for flt in FILTERS:
+    it returns for a catalog run, seed by seed of each walked tree."""
+    for flt in FILTERS:
+        root, joins, depth = enumeration._tree(flt, 7)
+        seeds = [p for p in enumeration._walk(root, 5, joins) if p.n == 5]
+        assert seeds
+        for seed in seeds:
             rows = enumeration._count_subtrees((seed.above, 7, flt, False))
             tally = enumeration._count_subtrees((seed.above, 7, flt, True))
             sizes = {}
             for r in rows:
                 sizes[len(r)] = sizes.get(len(r), 0) + 1
             assert tally == sizes
+            assert max(sizes, default=7) == 7
 
 
 def test_pool_workers_are_capped(monkeypatch):
@@ -111,13 +173,15 @@ def test_pool_workers_are_capped(monkeypatch):
 
     monkeypatch.setattr(enumeration, "get_context",
                         lambda method=None: Context())
-    single = count_chainmails(EnumerationTask(6))
-    seeds = len(list(enumerate_posets(5)))
-    for cpus, jobs, want in ((3, 2, 2), (3, 64, 3), (None, 64, 1),
-                             (100, 64, seeds)):
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
-        assert count_chainmails(EnumerationTask(6, jobs=jobs)) == single
-        assert started.pop() == want
+    for flt, size, seeds in (("all-posets", 6, 63),
+                             ("mail-connected-chainmails", 7, 62)):
+        single = count_chainmails(EnumerationTask(size, flt))
+        for cpus, jobs, want in ((3, 2, 2), (3, 64, 3), (None, 64, 1),
+                                 (100, 64, seeds)):
+            monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+            assert count_chainmails(EnumerationTask(size, flt, jobs=jobs)) \
+                == single
+            assert started.pop() == want
     assert not started
 
 
@@ -137,7 +201,7 @@ def test_task_validation():
 
 def test_size_budget():
     with pytest.raises(SizeBudgetExceeded):
-        next(enumerate_posets(11))
+        next(enumerate_posets(12))
     with pytest.raises(SizeBudgetExceeded):
         count_chainmails(EnumerationTask(3), budget=2)
     assert count_chainmails(EnumerationTask(3), budget=3)[3] == 5
@@ -197,22 +261,29 @@ def test_catalog_reruns_identically(tmp_path):
 
 
 def test_catalog_worker_independence(tmp_path):
-    task1 = EnumerationTask(6)
-    task2 = EnumerationTask(6, jobs=2)
-    first = emit_catalog(task1, tmp_path / "j1")
-    second = emit_catalog(task2, tmp_path / "j2")
-    assert [(e.code, e.filename) for e in first] \
-        == [(e.code, e.filename) for e in second]
+    for flt, size in (("all-posets", 6), ("chainmails", 6),
+                      ("mail-connected-chainmails", 7)):
+        first = emit_catalog(EnumerationTask(size, flt), tmp_path / flt / "1")
+        second = emit_catalog(EnumerationTask(size, flt, jobs=2),
+                              tmp_path / flt / "2")
+        assert [(e.code, e.filename) for e in first] \
+            == [(e.code, e.filename) for e in second]
 
 
 def test_generation_order_does_not_matter(monkeypatch):
     """Visiting extension candidates in the opposite order reproduces
-    the same isomorphism classes."""
-    baseline = codes_of(4)
+    the same isomorphism classes, in the walk of all posets and in the
+    census by top removal."""
+    def census_codes():
+        task = EnumerationTask(5, "mail-connected-chainmails")
+        return {oracles.min_perm_code(p.n, p.above)
+                for p in enumeration._passing(task)}
+
+    baseline = codes_of(4), census_codes()
     original = enumeration._downset_orbit_reps
     monkeypatch.setattr(enumeration, "_downset_orbit_reps",
-                        lambda p: list(reversed(original(p))))
-    assert codes_of(4) == baseline
+                        lambda p, keep=None: list(reversed(original(p, keep))))
+    assert (codes_of(4), census_codes()) == baseline
 
 
 # -- automorphism groups against the brute-force oracle -------------------------
@@ -291,7 +362,7 @@ def test_shortcuts_agree_with_acceptance(monkeypatch):
     rejected = unlabeled = 0
     for p in parents:
         asked.clear()
-        got = [c.above for c in enumeration._children(p)]
+        got = [c.above for c, _ in enumeration._children(p)]
         kids = [enumeration._extend(p, d)
                 for d in enumeration._downset_orbit_reps(p)]
         assert got == [c.above for c in kids if accepted(c)]
