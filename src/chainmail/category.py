@@ -101,7 +101,23 @@ class PosetMap:
         return carrier_poset(self.target)
 
 
+def _is_monotone(sp, tp, table):
+    """Whether F(c) <= F(y) for each lower cover c of each y; by
+    transitivity along chains of covers, that is monotonicity."""
+    above2 = tp.above
+    for y, covers in sp.lower_covers():
+        v = table[y]
+        for c in covers:
+            if not above2[table[c]] >> v & 1:
+                return False
+    return True
+
+
 def _check_monotone(sp, tp, table):
+    """Accept by the cover walk; only a failure runs the pullback sweep,
+    which names the first broken pair (i, j), i-major."""
+    if _is_monotone(sp, tp, table):
+        return
     up = pullback(table, tp.n, tp.above)  # up[v]: the x with F(x) >= v
     for i in range(sp.n):
         bad = sp.above[i] & ~up[table[i]]
@@ -115,15 +131,6 @@ def _check_mail_joins(g1, g2, table):
         for j in iter_bits(g1.overlap[i] & -(2 << i)):  # j > i
             if table[joins1[i][j]] != joins2[table[i]][table[j]]:
                 raise MailJoinNotPreserved((i, j))
-
-
-def _check_join_preserving(l1, l2, table):
-    if table[l1.bottom] != l2.bottom:
-        raise JoinsNotPreserved(("bottom", l1.bottom))
-    for x in range(l1.n):
-        for y in range(x + 1, l1.n):
-            if table[l1.joins[x][y]] != l2.joins[table[x]][table[y]]:
-                raise JoinsNotPreserved((x, y))
 
 
 def _adjoint_table(table, l1, l2):
@@ -144,8 +151,45 @@ def _adjoint_table(table, l1, l2):
     return tuple(adj)
 
 
-def _check_adjoint_separated_joins(l1, l2, table):
-    adj = _adjoint_table(table, l1, l2)
+def _raise_join_break(l1, l2, table):
+    """Name the first break of the join law: ``("bottom", b)`` when F
+    misses bottom, else the first pair x < y, x-major, with
+    F(x v y) != F(x) v F(y)."""
+    if table[l1.bottom] != l2.bottom:
+        raise JoinsNotPreserved(("bottom", l1.bottom))
+    for x in range(l1.n):
+        for y in range(x + 1, l1.n):
+            if table[l1.joins[x][y]] != l2.joins[table[x]][table[y]]:
+                raise JoinsNotPreserved((x, y))
+    raise TheoremViolation("galois-join-test", table)
+
+
+def _check_join_preserving(l1, l2, table):
+    """The join law of a monotone table, by the Galois test; returns the
+    right adjoint G, G(y) = join{x : F(x) <= y}, built for any table.
+
+    A monotone F with F(0) = 0 preserves joins exactly when
+    F(G(y)) <= y for every y.  If it does, x and z both lie in the
+    preimage of y = F(x) v F(z), so x v z <= G(y), and
+    F(x v z) <= F(G(y)) <= y; monotonicity gives F(x v z) >= y.
+    Conversely, a join-preserving F has F(G(y)) = join{F(x) : F(x) <= y},
+    which is <= y.  Only a failure runs the pairwise sweep, to name the
+    witness.
+    """
+    if table[l1.bottom] == l2.bottom:
+        adj = _adjoint_table(table, l1, l2)
+        below2 = l2.poset.below
+        for y, a in enumerate(adj):
+            if not below2[y] >> table[a] & 1:
+                break
+        else:
+            return adj
+    _raise_join_break(l1, l2, table)
+
+
+def _check_adjoint_separated_joins(l1, l2, adj):
+    """The strict law on the right adjoint ``adj`` of a join-preserving
+    table: it keeps the join of every separated set of l2."""
     joins1 = l1.joins
     sets = l2.separated()
     # rhs[i]: the join of the adjoint's values on the members of set i
@@ -157,6 +201,13 @@ def _check_adjoint_separated_joins(l1, l2, table):
         r = rhs[i] = joins1[rhs[parent]][adj[last]]
         if adj[join] != r:
             raise AdjointFailsSeparatedJoins(set_of(mask))
+
+
+def _check_strict_hom(l1, l2, table):
+    """The join law, then the separated-joins law on the one right
+    adjoint the join law built."""
+    _check_adjoint_separated_joins(
+        l1, l2, _check_join_preserving(l1, l2, table))
 
 
 def _check_connected_image(l1, l2, table):
@@ -171,8 +222,7 @@ def _check_connected_image(l1, l2, table):
 _LAWS = {
     "monotone": (carrier_poset, ()),
     "chainmail-morphism": (_chainmail_structure, (_check_mail_joins,)),
-    "connectivity-hom": (_lattice_structure, (
-        _check_join_preserving, _check_adjoint_separated_joins)),
+    "connectivity-hom": (_lattice_structure, (_check_strict_hom,)),
     "weak-connectivity-hom": (_lattice_structure, (
         _check_join_preserving, _check_connected_image)),
 }
@@ -181,9 +231,9 @@ _LAW_ERRORS = (AxiomViolation, NotMonotone, MailJoinNotPreserved,
                JoinsNotPreserved, AdjointFailsSeparatedJoins)
 
 
-def _holds(law, source, target, table):
+def _holds(law, *args):
     try:
-        law(source, target, table)
+        law(*args)
     except _LAW_ERRORS:
         return False
     return True
@@ -203,12 +253,13 @@ def validate_map(source, target, table, role):
     source = src if isinstance(source, Poset) else source
     target = tgt if isinstance(target, Poset) else target
     sp, tp = carrier_poset(src), carrier_poset(tgt)
-    table = tuple(int(v) for v in table)
+    table = tuple(map(int, table))
     if len(table) != sp.n:
         raise AxiomViolation("table-total", (len(table), sp.n))
-    for i, v in enumerate(table):
-        if not 0 <= v < tp.n:
-            raise AxiomViolation("table-range", (i, v))
+    if table and (min(table) < 0 or max(table) >= tp.n):
+        for i, v in enumerate(table):
+            if not 0 <= v < tp.n:
+                raise AxiomViolation("table-range", (i, v))
     _check_monotone(sp, tp, table)
     for law in laws:
         law(src, tgt, table)
@@ -233,15 +284,19 @@ def compose(f, g):
 def right_adjoint(f):
     """Right adjoint of a join-preserving map between complete lattices.
 
-    The Galois law F(x) <= y iff x <= adjoint(y) is asserted exhaustively
-    after construction; it cannot fail for a genuinely join-preserving map.
+    The map is not assumed monotone: the cover walk checks that before
+    the Galois test, and either failure names the pairwise sweep's
+    witness.  The Galois law F(x) <= y iff x <= adjoint(y) is asserted
+    exhaustively after construction; it cannot fail for a genuinely
+    join-preserving map.
     """
     l1, l2 = _lattice_structure(f.source), _lattice_structure(f.target)
     try:
-        _check_join_preserving(l1, l2, f.table)
+        if not _is_monotone(l1.poset, l2.poset, f.table):
+            _raise_join_break(l1, l2, f.table)
+        adj = _check_join_preserving(l1, l2, f.table)
     except JoinsNotPreserved as e:
         raise NotJoinPreserving(e.witness) from None
-    adj = _adjoint_table(f.table, l1, l2)
     below_adj = pullback(adj, l1.n, l1.poset.above)  # the y with x <= adj(y)
     for x in range(l1.n):
         bad = l2.poset.above[f.table[x]] ^ below_adj[x]
@@ -579,7 +634,8 @@ def connectivity_hom_tables(l1, l2, weak=False):
         yield from found
     else:
         yield from (t for t in found
-                    if _holds(_check_adjoint_separated_joins, l1, l2, t))
+                    if _holds(_check_adjoint_separated_joins, l1, l2,
+                              _adjoint_table(t, l1, l2)))
 
 
 # -- interchange ---------------------------------------------------------------

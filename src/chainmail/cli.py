@@ -138,6 +138,7 @@ def _cmd_verify(args):
           f"{status}")
     for v in report.violations:
         print(f"  {v['structure']}: {v['law']}, witness {v['witness']}")
+    print(f"suite {report.name}: {report.elapsed_s:.3f} s", file=sys.stderr)
     return 0 if report.ok() else 2
 
 

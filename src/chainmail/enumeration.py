@@ -27,7 +27,9 @@ posets to n-1, from the empty poset (whose P + top is the singleton),
 and yields P + top for each.  That child is accepted unlabeled, so the
 representative is the one the walk of all posets would give.  Every
 chainmail is top-completable, so the chainmails filter walks the same
-tree to n and keeps the chainmails it visits.
+tree to n and keeps the chainmails it visits: a top-completable poset is
+a chainmail exactly when every 2-element mail has an upper bound, which
+its join table shows.
 
 Pruning is sound.  Each added element is maximal when added, so it
 never lies below an old upper bound: a pair with upper bounds but no
@@ -51,7 +53,7 @@ from multiprocessing import get_all_start_methods, get_context
 from . import config
 from .canonical import canonical_maximal_position, iter_bits
 from .errors import AxiomViolation, NotAChainmail, SizeBudgetExceeded
-from .mails import as_chainmail, iter_td_masks, poset_is_chainmail
+from .mails import as_chainmail, iter_td_masks
 from .poset import Poset, _down_closed_masks, to_dot
 
 FILTERS = ("all-posets", "chainmails", "mail-connected-chainmails")
@@ -246,9 +248,10 @@ def _children(p, joins=None):
 
 
 def _walk(p, n, joins=None):
-    """Yield ``p`` and every accepted descendant up to size ``n``; given
-    ``p``'s join table, only the top-completable ones."""
-    yield p
+    """Yield ``(p, joins)`` and the same for every accepted descendant up
+    to size ``n``; given ``p``'s join table, only the top-completable
+    ones, each with its own table."""
+    yield p, joins
     if p.n < n:
         for child, child_joins in _children(p, joins):
             yield from _walk(child, n, child_joins)
@@ -256,7 +259,8 @@ def _walk(p, n, joins=None):
 
 def _walk_from_unit(n):
     if n >= 1:
-        yield from _walk(Poset((1,)), n)
+        for p, _ in _walk(Poset((1,)), n):
+            yield p
 
 
 def enumerate_posets(n, budget=None):
@@ -302,9 +306,11 @@ def _tree(which, size):
     return root, _top_joins(root), size
 
 
-def _kept(p, which):
-    """Whether the visited ``p`` stands for a structure under the filter."""
-    return which != "chainmails" or poset_is_chainmail(p)
+def _kept(joins, which):
+    """Whether the visited poset, with join table ``joins``, stands for a
+    structure under the filter: for chainmails, no mail lacks an upper
+    bound."""
+    return which != "chainmails" or not any(joins[0])
 
 
 def _structure(p, which):
@@ -322,7 +328,8 @@ def _count_subtrees(args):
     depth = _tree(which, size)[2]
     joins = None if which == "all-posets" else _top_joins(seed)
     found = (q for child, child_joins in _children(seed, joins)
-             for q in _walk(child, depth, child_joins) if _kept(q, which))
+             for q, q_joins in _walk(child, depth, child_joins)
+             if _kept(q_joins, which))
     if not tally:
         return [_structure(q, which).above for q in found]
     lift = size - depth
@@ -355,8 +362,8 @@ def _passing(task, tally=False):
     lift = task.size - depth
     single = task.jobs == 1 or depth <= _SPLIT_SIZE
     seeds = []
-    for p in _walk(root, depth if single else _SPLIT_SIZE, joins):
-        if _kept(p, task.filter):
+    for p, p_joins in _walk(root, depth if single else _SPLIT_SIZE, joins):
+        if _kept(p_joins, task.filter):
             yield (p.n + lift, 1) if tally else _structure(p, task.filter)
         if not single and p.n == _SPLIT_SIZE:
             seeds.append((p.above, task.size, task.filter, tally))

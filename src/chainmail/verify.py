@@ -8,6 +8,7 @@ suite both run these.
 """
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from . import category, lattice
 from .enumeration import posets_up_to
@@ -22,6 +23,7 @@ class SuiteReport:
     sizes: str
     checked: int = 0
     violations: list = field(default_factory=list)
+    elapsed_s: float = 0.0
 
     def ok(self):
         return not self.violations
@@ -286,12 +288,15 @@ SUITES = {
 
 
 def run_suite(name, max_size=None):
-    """Run one suite; an empty population is recorded as a violation."""
+    """Run one suite, timed into ``elapsed_s``; an empty population is
+    recorded as a violation."""
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite: {name!r}") from None
+    start = perf_counter()
     report = fn(max_size=max_size)
+    report.elapsed_s = perf_counter() - start
     if not report.checked:
         report.record(report.sizes, "population is not empty", max_size)
     return report

@@ -146,6 +146,24 @@ def first_monotonicity_break(rows1, rows2, table):
     return None
 
 
+def first_join_break(rows1, rows2, table):
+    """The first break of the join law, for any table between lattices:
+    ``("bottom", b)`` when the source's bottom b does not go to the
+    target's bottom, else the first pair (x, y), x < y, x-major, whose
+    join does not go to the join of their images; None when the table
+    preserves joins."""
+    n1, n2 = len(rows1), len(rows2)
+    bottom = least_upper_bound(n1, rows1, 0)
+    if table[bottom] != least_upper_bound(n2, rows2, 0):
+        return ("bottom", bottom)
+    for x, y in combinations(range(n1), 2):
+        image = (1 << table[x]) | (1 << table[y])
+        if table[least_upper_bound(n1, rows1, (1 << x) | (1 << y))] \
+                != least_upper_bound(n2, rows2, image):
+            return (x, y)
+    return None
+
+
 def right_adjoint(rows1, rows2, table):
     """At each target element y, the greatest x with table[x] <= y, or
     None where that set has no greatest element."""

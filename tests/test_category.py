@@ -165,6 +165,58 @@ def test_joins_not_preserved(b2, chain3):
     assert e.value.witness == ("bottom", 0)
 
 
+def test_join_witness_matches_oracle():
+    """The Galois test rejects exactly the monotone tables in which brute
+    force finds a broken join, and the pairwise sweep then names the
+    oracle's witness, in both readings of connectivity homs: every
+    monotone table from lattices n<=5 (M3 and N5 among them) to lattices
+    n<=4."""
+    targets = lattices_up_to(4)
+    checked = failing = 0
+    for l1 in lattices_up_to(5):
+        for l2 in targets:
+            for t in monotone_tables(l1.poset, l2.poset):
+                want = oracles.first_join_break(
+                    l1.poset.above, l2.poset.above, t)
+                for role in ("connectivity-hom", "weak-connectivity-hom"):
+                    try:
+                        validate_map(l1, l2, t, role)
+                        got = None
+                    except JoinsNotPreserved as e:
+                        got = e.witness
+                    except AdjointFailsSeparatedJoins:
+                        got = None  # the strict law, run once joins hold
+                    except AxiomViolation as e:
+                        assert e.axiom == "connected-element-preservation"
+                        got = None
+                    assert got == want
+                checked += 1
+                failing += want is not None
+    assert (checked, failing) == (1237, 726)
+
+
+def test_right_adjoint_join_witness_matches_oracle():
+    """right_adjoint does not check monotonicity first, and still refuses
+    every table that breaks a join, monotone or not, with the oracle's
+    witness: every table between lattices n<=4."""
+    lats = lattices_up_to(4)
+    checked = failing = 0
+    for l1 in lats:
+        for l2 in lats:
+            for t in itertools.product(range(l2.n), repeat=l1.n):
+                want = oracles.first_join_break(
+                    l1.poset.above, l2.poset.above, t)
+                try:
+                    right_adjoint(PosetMap(l1, l2, t, "monotone"))
+                    got = None
+                except NotJoinPreserving as e:
+                    got = e.witness
+                assert got == want
+                checked += 1
+                failing += want is not None
+    assert (checked, failing) == (1444, 1299)
+
+
 def test_mail_join_not_preserved(b2, chain3):
     with pytest.raises(MailJoinNotPreserved) as e:
         validate_map(b2.poset, chain3.poset, [0, 0, 1, 2],

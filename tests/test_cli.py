@@ -1,6 +1,7 @@
 """The command-line surface, driven in process through main()."""
 
 import json
+import re
 
 import pytest
 
@@ -133,6 +134,18 @@ def test_verify_ok(capsys):
                  "--max-size", "3"]) == 0
     assert capsys.readouterr().out.strip() == \
         "suite pairwise-criterion [posets n<=3]: 8 checked, 0 violations: ok"
+
+
+def test_verify_prints_elapsed_on_stderr(capsys):
+    """The suite's time goes to stderr alone; stdout and the exit code
+    stay as they were."""
+    assert main(["verify", "--suite", "pairwise-criterion",
+                 "--max-size", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("suite pairwise-criterion [posets n<=3]: "
+                            "8 checked, 0 violations: ok\n")
+    assert re.fullmatch(r"suite pairwise-criterion: \d+\.\d{3} s\n",
+                        captured.err)
 
 
 def test_verify_reports_violations(capsys, monkeypatch):

@@ -68,6 +68,19 @@ def test_chainmails_are_multisets_of_mail_connected_ones():
     assert [all_chain[s] for s in range(1, 8)] == want
 
 
+def test_join_table_decides_chainmails():
+    """At every node of the top-completable tree to size 7, the carried
+    join table and the pairwise check of ``poset_is_chainmail`` agree on
+    whether the node is a chainmail."""
+    root, joins, depth = enumeration._tree("chainmails", 7)
+    kept = 0
+    for p, p_joins in enumeration._walk(root, depth, joins):
+        is_chainmail = poset_is_chainmail(p)
+        assert enumeration._kept(p_joins, "chainmails") == is_chainmail
+        kept += is_chainmail
+    assert kept == 1 + 2 + 4 + 10 + 28 + 99 + 430
+
+
 def test_pruned_walk_matches_filtered_full_walk():
     """The census by top removal yields, size by size, exactly the
     representatives that filtering the walk over all posets finds: the
@@ -101,7 +114,7 @@ def test_join_closure_decides_top_completable_children():
     parent's pair joins; and the walk meets every top-completable poset."""
     root, joins, depth = enumeration._tree("chainmails", 5)
     seen = 0
-    for p in enumeration._walk(root, depth, joins):
+    for p, _ in enumeration._walk(root, depth, joins):
         joined = enumeration._top_joins(p)[1]
         for dmask in oracles.downset_masks(p.n, p.above):
             child = enumeration._extend(p, dmask)
@@ -138,7 +151,8 @@ def test_worker_tally_counts_its_rows():
     it returns for a catalog run, seed by seed of each walked tree."""
     for flt in FILTERS:
         root, joins, depth = enumeration._tree(flt, 7)
-        seeds = [p for p in enumeration._walk(root, 5, joins) if p.n == 5]
+        seeds = [p for p, _ in enumeration._walk(root, 5, joins)
+                 if p.n == 5]
         assert seeds
         for seed in seeds:
             rows = enumeration._count_subtrees((seed.above, 7, flt, False))

@@ -29,6 +29,20 @@ def test_report_bookkeeping():
         {"structure": "structure", "law": "law", "witness": 7}]
 
 
+def test_report_is_timed():
+    report = run_suite("pairwise-criterion", max_size=3)
+    assert report.elapsed_s > 0
+    assert SuiteReport("demo", "nothing").elapsed_s == 0.0
+
+
+def test_lattice_walk_counts_a006966():
+    """The lattices the suites walk, one per isomorphism class, by size:
+    OEIS A006966 for n = 1..8."""
+    sizes = [lat.n for lat in verify._lattices_up_to(8)]
+    assert [sizes.count(n) for n in range(1, 9)] \
+        == [1, 1, 1, 2, 5, 15, 53, 222]
+
+
 def test_connectivity_conditions_pass():
     report = run_suite("connectivity-conditions", max_size=4)
     assert report.ok()
