@@ -101,28 +101,49 @@ class PosetMap:
         return carrier_poset(self.target)
 
 
-def _is_monotone(sp, tp, table):
-    """Whether F(c) <= F(y) for each lower cover c of each y; by
+def _prepare_monotone(sp, tp):
+    """accepts(table) for tables sp -> tp: the right length, values in
+    range, and F(c) <= F(y) for each lower cover c of each y; by
     transitivity along chains of covers, that is monotonicity."""
+    n1, n2 = sp.n, tp.n
+    edges = tuple((c, y) for y, low in sp.lower_covers() for c in low)
     above2 = tp.above
-    for y, covers in sp.lower_covers():
-        v = table[y]
-        for c in covers:
-            if not above2[table[c]] >> v & 1:
+
+    def accepts(table):
+        if len(table) != n1 or table and (min(table) < 0 or max(table) >= n2):
+            return False
+        for c, y in edges:
+            if not above2[table[c]] >> table[y] & 1:
                 return False
-    return True
+        return True
+    return accepts
 
 
 def _check_monotone(sp, tp, table):
-    """Accept by the cover walk; only a failure runs the pullback sweep,
-    which names the first broken pair (i, j), i-major."""
-    if _is_monotone(sp, tp, table):
-        return
+    """Name the first broken pair (i, j), i-major, by the pullback sweep."""
     up = pullback(table, tp.n, tp.above)  # up[v]: the x with F(x) >= v
     for i in range(sp.n):
         bad = sp.above[i] & ~up[table[i]]
         if bad:
             raise NotMonotone((i, next(iter_bits(bad))))
+
+
+def _prepare_mail_morphism(g1, g2):
+    """accepts(table) for chainmail morphisms g1 -> g2: monotone, and the
+    join i v j of each mail {i, j} goes to the join of the images."""
+    ordered = _prepare_monotone(g1.poset, g2.poset)
+    joins1, joins2 = g1.joins, g2.joins
+    pairs = tuple((i, j, joins1[i][j]) for i in range(g1.n)
+                  for j in iter_bits(g1.overlap[i] & -(2 << i)))  # j > i
+
+    def accepts(table):
+        if not ordered(table):
+            return False
+        for i, j, k in pairs:
+            if table[k] != joins2[table[i]][table[j]]:
+                return False
+        return True
+    return accepts
 
 
 def _check_mail_joins(g1, g2, table):
@@ -164,27 +185,65 @@ def _raise_join_break(l1, l2, table):
     raise TheoremViolation("galois-join-test", table)
 
 
-def _check_join_preserving(l1, l2, table):
-    """The join law of a monotone table, by the Galois test; returns the
-    right adjoint G, G(y) = join{x : F(x) <= y}, built for any table.
+def _prepare_galois(l1, l2):
+    """adjoint(table) for tables l1 -> l2: the right adjoint G,
+    G(y) = join{x : F(x) <= y}, of a monotone table that passes the
+    Galois test for joins, else None.
 
     A monotone F with F(0) = 0 preserves joins exactly when
     F(G(y)) <= y for every y.  If it does, x and z both lie in the
     preimage of y = F(x) v F(z), so x v z <= G(y), and
     F(x v z) <= F(G(y)) <= y; monotonicity gives F(x v z) >= y.
     Conversely, a join-preserving F has F(G(y)) = join{F(x) : F(x) <= y},
-    which is <= y.  Only a failure runs the pairwise sweep, to name the
-    witness.
+    which is <= y.
     """
-    if table[l1.bottom] == l2.bottom:
+    ordered = _prepare_monotone(l1.poset, l2.poset)
+    bottom1, bottom2 = l1.bottom, l2.bottom
+    below2 = l2.poset.below
+
+    def adjoint(table):
+        if not ordered(table) or table[bottom1] != bottom2:
+            return None
         adj = _adjoint_table(table, l1, l2)
-        below2 = l2.poset.below
         for y, a in enumerate(adj):
             if not below2[y] >> table[a] & 1:
-                break
-        else:
-            return adj
-    _raise_join_break(l1, l2, table)
+                return None
+        return adj
+    return adjoint
+
+
+def _check_join_preserving(l1, l2, table):
+    """The join law, by the cover walk and the Galois test; returns the
+    right adjoint.  Only a failure runs the pairwise sweep, to name the
+    witness: a table that keeps bottom and every pairwise join is
+    monotone, so a non-monotone table has one."""
+    adj = _prepare_galois(l1, l2)(table)
+    if adj is None:
+        _raise_join_break(l1, l2, table)
+    return adj
+
+
+def _prepare_strict_hom(l1, l2):
+    """accepts(table) for connectivity homs l1 -> l2: the right adjoint of
+    a table that passes the Galois test and whose adjoint keeps the join
+    of every separated set of l2, else None."""
+    adjoint = _prepare_galois(l1, l2)
+    joins1, bottom1, bottom2 = l1.joins, l1.bottom, l2.bottom
+    sets = tuple((join, parent, last)
+                 for _, join, parent, last in l2.separated()[1:])
+
+    def accepts(table):
+        adj = adjoint(table)
+        if adj is None or adj[bottom2] != bottom1:
+            return None
+        rhs = [bottom1]  # rhs[i]: the join of adj over the members of set i
+        for join, parent, last in sets:
+            r = joins1[rhs[parent]][adj[last]]
+            if adj[join] != r:
+                return None
+            rhs.append(r)
+        return adj
+    return accepts
 
 
 def _check_adjoint_separated_joins(l1, l2, adj):
@@ -210,6 +269,23 @@ def _check_strict_hom(l1, l2, table):
         l1, l2, _check_join_preserving(l1, l2, table))
 
 
+def _prepare_weak_hom(l1, l2):
+    """accepts(table) for weak connectivity homs l1 -> l2: the Galois
+    test, and each connected element goes to a connected element."""
+    adjoint = _prepare_galois(l1, l2)
+    conn1 = tuple(iter_bits(l1.connected_mask()))
+    conn2 = l2.connected_mask()
+
+    def accepts(table):
+        if adjoint(table) is None:
+            return False
+        for c in conn1:
+            if not conn2 >> table[c] & 1:
+                return False
+        return True
+    return accepts
+
+
 def _check_connected_image(l1, l2, table):
     conn2 = l2.connected_mask()
     for c in iter_bits(l1.connected_mask()):
@@ -217,13 +293,17 @@ def _check_connected_image(l1, l2, table):
             raise AxiomViolation("connected-element-preservation", c)
 
 
-# role -> (the structure its maps run between, the laws it adds on top of
-# monotonicity, checked in order)
+# role -> (the structure its maps run between, the preparer of its
+# acceptance test, and the sweeps that name a rejected table's witness,
+# run in order after the monotone sweep).  A preparer binds what the test
+# reads of both structures once; the test it returns reads only those.
 _LAWS = {
-    "monotone": (carrier_poset, ()),
-    "chainmail-morphism": (_chainmail_structure, (_check_mail_joins,)),
-    "connectivity-hom": (_lattice_structure, (_check_strict_hom,)),
-    "weak-connectivity-hom": (_lattice_structure, (
+    "monotone": (carrier_poset, _prepare_monotone, ()),
+    "chainmail-morphism": (_chainmail_structure, _prepare_mail_morphism,
+                           (_check_mail_joins,)),
+    "connectivity-hom": (_lattice_structure, _prepare_strict_hom,
+                         (_check_strict_hom,)),
+    "weak-connectivity-hom": (_lattice_structure, _prepare_weak_hom, (
         _check_join_preserving, _check_connected_image)),
 }
 ROLES = tuple(_LAWS)
@@ -239,31 +319,64 @@ def _holds(law, *args):
     return True
 
 
+def _prepare(source, target, role):
+    """``(src, tgt, accepts)``: the role's structures on both sides and
+    its acceptance test, which returns a true value exactly for the
+    tables that are maps of the role (for connectivity homs, the right
+    adjoint)."""
+    try:
+        structure, prepare, _ = _LAWS[role]
+    except KeyError:
+        raise ValueError(f"unknown role: {role!r}") from None
+    src, tgt = structure(source), structure(target)
+    return src, tgt, prepare(src, tgt)
+
+
+def _raise_witness(src, tgt, table, role):
+    """Name why a rejected table is not a map of the role: the shape,
+    the monotone sweep, then each law's sweep in turn."""
+    sp, tp = carrier_poset(src), carrier_poset(tgt)
+    if len(table) != sp.n:
+        raise AxiomViolation("table-total", (len(table), sp.n))
+    for i, v in enumerate(table):
+        if not 0 <= v < tp.n:
+            raise AxiomViolation("table-range", (i, v))
+    _check_monotone(sp, tp, table)
+    for law in _LAWS[role][2]:
+        law(src, tgt, table)
+    raise TheoremViolation("prepared-test", (role, table))
+
+
+def _validate(source, target, table, role):
+    """validate_map's PosetMap, with the acceptance test's verdict."""
+    src, tgt, accepts = _prepare(source, target, role)
+    table = tuple(map(int, table))
+    verdict = accepts(table)
+    if not verdict:
+        _raise_witness(src, tgt, table, role)
+    source = src if isinstance(source, Poset) else source
+    target = tgt if isinstance(target, Poset) else target
+    return PosetMap(source, target, table, role), verdict
+
+
 def validate_map(source, target, table, role):
     """Build a PosetMap, checking the laws the role demands.
 
     Raw Posets are wrapped in the structure the role needs (chainmail or
-    lattice); richer objects are kept as given.
+    lattice); richer objects are kept as given.  The role's prepared
+    test decides; only a rejection runs the sweeps, which name the
+    witness.
     """
+    return _validate(source, target, table, role)[0]
+
+
+def _raise_as(law, source, target, table, role):
+    """Raise ``TheoremViolation(law, w)``, with w the witness validate_map
+    names, for a table the theory says is a map of the role."""
     try:
-        structure, laws = _LAWS[role]
-    except KeyError:
-        raise ValueError(f"unknown role: {role!r}") from None
-    src, tgt = structure(source), structure(target)
-    source = src if isinstance(source, Poset) else source
-    target = tgt if isinstance(target, Poset) else target
-    sp, tp = carrier_poset(src), carrier_poset(tgt)
-    table = tuple(map(int, table))
-    if len(table) != sp.n:
-        raise AxiomViolation("table-total", (len(table), sp.n))
-    if table and (min(table) < 0 or max(table) >= tp.n):
-        for i, v in enumerate(table):
-            if not 0 <= v < tp.n:
-                raise AxiomViolation("table-range", (i, v))
-    _check_monotone(sp, tp, table)
-    for law in laws:
-        law(src, tgt, table)
-    return PosetMap(source, target, table, role)
+        validate_map(source, target, table, role)
+    except _LAW_ERRORS as e:
+        raise TheoremViolation(law, e.witness) from None
 
 
 def identity_map(structure, role="monotone"):
@@ -292,8 +405,6 @@ def right_adjoint(f):
     """
     l1, l2 = _lattice_structure(f.source), _lattice_structure(f.target)
     try:
-        if not _is_monotone(l1.poset, l2.poset, f.table):
-            _raise_join_break(l1, l2, f.table)
         adj = _check_join_preserving(l1, l2, f.table)
     except JoinsNotPreserved as e:
         raise NotJoinPreserving(e.witness) from None
@@ -326,34 +437,56 @@ def k_chainmail(lat):
     return lat._k
 
 
+def k_on_tables(l1, l2, tables):
+    """K of (weak) connectivity homomorphism tables l1 -> l2, lazily: each
+    restricted to the connected elements, as a chainmail morphism table
+    K(l1) -> K(l2).  The lookups and the law test are set up once."""
+    k1 = k_chainmail(_lattice_structure(l1))
+    k2 = k_chainmail(_lattice_structure(l2))
+    elements, position = k1.elements, k2.position.get
+    accepts = _prepare_mail_morphism(k1.chainmail, k2.chainmail)
+    for table in tables:
+        image = tuple([position(table[e]) for e in elements])
+        if None in image:
+            e = elements[image.index(None)]
+            raise TheoremViolation("connected-element-not-preserved",
+                                   (e, table[e]))
+        if not accepts(image):
+            _raise_as("k-morphism-laws", k1, k2, image, "chainmail-morphism")
+        yield image
+
+
 def k_on_morphism(f):
     """Restrict a (weak) connectivity homomorphism to connected elements."""
-    k1 = k_chainmail(_lattice_structure(f.source))
-    k2 = k_chainmail(_lattice_structure(f.target))
-    table = []
-    for e in k1.elements:
-        v = f.table[e]
-        if v not in k2.position:
-            raise TheoremViolation("connected-element-not-preserved", (e, v))
-        table.append(k2.position[v])
-    try:
-        return validate_map(k1, k2, table, "chainmail-morphism")
-    except _LAW_ERRORS as e:
-        raise TheoremViolation("k-morphism-laws", e.witness) from None
+    [table] = k_on_tables(f.source, f.target, [f.table])
+    return PosetMap(k_chainmail(_lattice_structure(f.source)),
+                    k_chainmail(_lattice_structure(f.target)),
+                    table, "chainmail-morphism")
+
+
+def d_on_tables(g1, g2, tables):
+    """D of chainmail morphism tables g1 -> g2, lazily: a totally
+    disconnected set maps to the join of the singletons of its images,
+    i.e. to the maximal elements of the subchainmail generated by the
+    image.  The lookups and the law test are set up once."""
+    d1 = d_lattice(_chainmail_structure(g1))
+    d2 = d_lattice(_chainmail_structure(g2))
+    lat2 = d2.lattice
+    singleton = [d2.index[1 << v] for v in range(d2.chainmail.n)]
+    accepts = _prepare_strict_hom(d1.lattice, lat2)
+    for table in tables:
+        image = tuple(d1.join_images(lat2, [singleton[v] for v in table]))
+        if not accepts(image):
+            _raise_as("d-morphism-laws", d1, d2, image, "connectivity-hom")
+        yield image
 
 
 def d_on_morphism(m):
-    """D of a chainmail morphism: a totally disconnected set maps to the
-    join of the singletons of its images, i.e. to the maximal elements of
-    the subchainmail generated by the image."""
-    d1 = d_lattice(_chainmail_structure(m.source))
-    d2 = d_lattice(_chainmail_structure(m.target))
-    singleton = [d2.index[1 << v] for v in m.table]
-    table = d1.join_images(d2.lattice, singleton)
-    try:
-        return validate_map(d1, d2, table, "connectivity-hom")
-    except _LAW_ERRORS as e:
-        raise TheoremViolation("d-morphism-laws", e.witness) from None
+    """D of a chainmail morphism, as a connectivity homomorphism."""
+    [table] = d_on_tables(m.source, m.target, [m.table])
+    return PosetMap(d_lattice(_chainmail_structure(m.source)),
+                    d_lattice(_chainmail_structure(m.target)),
+                    table, "connectivity-hom")
 
 
 def d_morphism_adjoint(m):
@@ -429,10 +562,10 @@ def counit_epsilon(lat):
         except KeyError:
             raise TheoremViolation("counit-adjoint-image", x) from None
     try:
-        counit = validate_map(d, lat, table, "connectivity-hom")
+        counit, adjoint = _validate(d, lat, table, "connectivity-hom")
     except _LAW_ERRORS as e:
         raise TheoremViolation("counit-laws", e.witness) from None
-    if tuple(adj) != _adjoint_table(table, d.lattice, lat):
+    if tuple(adj) != adjoint:
         raise TheoremViolation("counit-adjoint-formula", tuple(adj))
     return CounitData(counit, PosetMap(lat, d, tuple(adj), "monotone"), k, d)
 

@@ -45,12 +45,20 @@ def _lattices_up_to(n):
             continue
 
 
-def _chainmails_up_to(n):
-    for p in posets_up_to(n):
-        try:
-            yield as_chainmail(p)
-        except NotAChainmail:
-            continue
+def _chainmails_up_to(g_bound, lattices, l_bound):
+    """Yield the chainmails up to g_bound and append the lattices up to
+    l_bound to ``lattices``, from one walk of the posets by size."""
+    for p in posets_up_to(max(g_bound, l_bound)):
+        if p.n <= l_bound:
+            try:
+                lattices.append(as_complete_lattice(p))
+            except NotALattice:
+                pass
+        if p.n <= g_bound:
+            try:
+                yield as_chainmail(p)
+            except NotAChainmail:
+                pass
 
 
 def _bound(max_size, default):
@@ -139,7 +147,8 @@ def suite_unit_counit(max_size=None):
     bound = _bound(max_size, 6)
     report = SuiteReport("unit-counit",
                          f"chainmails and lattices from n<={bound}")
-    for g in _chainmails_up_to(bound):
+    ls = []
+    for g in _chainmails_up_to(bound, ls, bound):
         report.checked += 1
         name = _poset_name(g.poset)
         try:
@@ -147,7 +156,7 @@ def suite_unit_counit(max_size=None):
         except TheoremViolation as e:
             report.record(name, "unit is an order-isomorphism",
                           (e.law, e.witness))
-    for lat in _lattices_up_to(bound):
+    for lat in ls:
         if not lattice.is_locally_connected(lat):
             continue
         report.checked += 1
@@ -170,46 +179,55 @@ def check_adjunction_bijection(g, lat, weak=False):
     functor's image), and checks the two round trips are identities and
     the transposes land inside the enumerated hom sets.  Each hom is
     transposed once: the way back is only taken from lattice maps that
-    no chainmail morphism reached.  Returns the common hom-set size;
-    raises TheoremViolation on any mismatch.
+    no chainmail morphism reached.  Each pass is one lazy batch through
+    ``category.d_on_tables`` and one through ``category.k_on_tables``,
+    which set up their lookups and law tests once per pass and still
+    finish one table's checks before they start the next.  Returns the
+    common hom-set size; raises TheoremViolation on any mismatch.
     """
     eps = category.counit_epsilon(lat)
     eta = category.unit_eta(g)
     k, d = eps.k, eta.d
     left = list(category.chainmail_morphism_tables(g, k.chainmail))
     right = list(category.connectivity_hom_tables(d.lattice, lat, weak=weak))
+    counit, unit = eps.map.table, eta.map.table
 
-    def transpose(table):
-        f = category.PosetMap(g, k, table, "chainmail-morphism")
-        df = category.d_on_morphism(f)
-        return tuple(eps.map.table[v] for v in df.table)
+    def transpose(tables):
+        for df in category.d_on_tables(g, k, tables):
+            yield tuple([counit[v] for v in df])
 
-    def untranspose(table):
-        back = category.k_on_morphism(
-            category.PosetMap(d, lat, table, "connectivity-hom"))
-        return tuple(back.table[v] for v in eta.map.table)
+    def untranspose(tables):
+        for back in category.k_on_tables(d, lat, tables):
+            yield tuple([back[v] for v in unit])
 
     right_set = set(right)
     transposed = set()
-    for table in left:
-        image = transpose(table)
-        if image not in right_set:
-            raise TheoremViolation("transpose-not-a-hom", (table, image))
-        transposed.add(image)
-        roundtrip = untranspose(image)
+
+    def images():
+        for table, image in zip(left, transpose(left)):
+            if image not in right_set:
+                raise TheoremViolation("transpose-not-a-hom", (table, image))
+            transposed.add(image)
+            yield image
+
+    for table, roundtrip in zip(left, untranspose(images())):
         if roundtrip != table:
             raise TheoremViolation("transpose-roundtrip", (table, roundtrip))
     if len(transposed) != len(left):
         raise TheoremViolation("transpose-not-injective",
                                (len(left), len(transposed)))
     left_set = set(left)
-    for table in right:
-        if table in transposed:
-            continue  # its round trip was checked from the left
-        f_table = untranspose(table)
-        if f_table not in left_set:
-            raise TheoremViolation("untranspose-not-a-hom", (table, f_table))
-        again = transpose(f_table)
+    # a transposed hom's round trip was checked from the left
+    rest = [table for table in right if table not in transposed]
+
+    def preimages():
+        for table, f_table in zip(rest, untranspose(rest)):
+            if f_table not in left_set:
+                raise TheoremViolation("untranspose-not-a-hom",
+                                       (table, f_table))
+            yield f_table
+
+    for table, again in zip(rest, transpose(preimages())):
         if again != table:
             raise TheoremViolation("untranspose-roundtrip", (table, again))
     if len(left) != len(right):
@@ -229,8 +247,8 @@ def suite_adjunction(max_size=None):
     l_bound = g_bound + 1
     report = SuiteReport(
         "adjunction", f"chainmails n<={g_bound} x lattices n<={l_bound}")
-    gs = list(_chainmails_up_to(g_bound))
-    ls = list(_lattices_up_to(l_bound))
+    ls = []
+    gs = list(_chainmails_up_to(g_bound, ls, l_bound))
     for g in gs:
         gname = _poset_name(g.poset)
         for lat in ls:

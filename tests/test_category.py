@@ -10,7 +10,9 @@ from chainmail.category import (
     KChainmail,
     PosetMap,
     ROLES,
+    _LAW_ERRORS,
     _adjoint_table,
+    _prepare,
     carrier_poset,
     chainmail_morphism_tables,
     check_naturality,
@@ -20,11 +22,13 @@ from chainmail.category import (
     counit_epsilon,
     d_morphism_adjoint,
     d_on_morphism,
+    d_on_tables,
     identity_map,
     is_epsilon_iso,
     join_preserving_tables,
     k_chainmail,
     k_on_morphism,
+    k_on_tables,
     map_from_json_dict,
     map_to_json_dict,
     monotone_tables,
@@ -42,6 +46,7 @@ from chainmail.errors import (
     NotALattice,
     NotJoinPreserving,
     NotMonotone,
+    TheoremViolation,
 )
 from chainmail.lattice import (
     as_complete_lattice,
@@ -50,7 +55,8 @@ from chainmail.lattice import (
     is_locally_connected,
     separation_poset,
 )
-from chainmail.mails import as_chainmail, d_lattice, poset_is_chainmail
+from chainmail.mails import (
+    DLattice, as_chainmail, d_lattice, poset_is_chainmail)
 from chainmail.poset import Poset, set_of, validate_poset
 from chainmail.sources import powerset_lattice
 from chainmail.verify import run_suite
@@ -257,6 +263,75 @@ def test_table_shape_errors(b2):
     assert e.value.axiom == "table-range"
     with pytest.raises(ValueError):
         validate_map(b2, b2, [0, 1, 2, 3], "isotone")
+
+
+def _is_map_by_definition(s1, s2, t, role):
+    """Whether table t is a map s1 -> s2 of the role, by brute force."""
+    p1, p2 = carrier_poset(s1), carrier_poset(s2)
+    if len(t) != p1.n or not all(0 <= v < p2.n for v in t):
+        return False
+    rows1, rows2 = p1.above, p2.above
+    if oracles.first_monotonicity_break(rows1, rows2, t) is not None:
+        return False
+    if role == "chainmail-morphism":
+        return all(s2.joins[t[i]][t[j]] == t[s1.joins[i][j]]
+                   for i, j in itertools.combinations(range(p1.n), 2)
+                   if s1.joins[i][j] is not None)
+    if role == "connectivity-hom":
+        return oracles.first_join_break(rows1, rows2, t) is None and \
+            oracles.first_separated_join_break(rows1, rows2, t) is None
+    if role == "weak-connectivity-hom":
+        conn2 = connected_elements(s2)
+        return oracles.first_join_break(rows1, rows2, t) is None and \
+            all(t[c] in conn2 for c in connected_elements(s1))
+    return True
+
+
+def test_prepared_test_agrees_with_validate_map():
+    """In every role, the prepared acceptance test accepts exactly the
+    tables validate_map accepts, and those are the maps of the role by
+    definition: every table from the structures of up to 4 elements
+    into those of up to 3 (lattices: up to 5 into up to 4, where strict
+    and weak homs differ), plus, per pair, two tables with a value out
+    of range and one of the wrong length.  For connectivity homs it
+    returns the right adjoint."""
+    posets = [mk_poset(0, [])] + [p for n in range(1, 5)
+                                  for p in enumerate_posets(n)]
+    lattices = lattices_up_to(5)
+    sources = {
+        "monotone": (posets, 3),
+        "chainmail-morphism": (chainmails_up_to(4), 3),
+        "connectivity-hom": (lattices, 4),
+        "weak-connectivity-hom": (lattices, 4),
+    }
+    counts = {}
+    for role, (structures, bound) in sources.items():
+        targets = [s for s in structures if carrier_poset(s).n <= bound]
+        accepted = rejected = 0
+        for s1 in structures:
+            n1 = carrier_poset(s1).n
+            for s2 in targets:
+                n2 = carrier_poset(s2).n
+                _, _, accepts = _prepare(s1, s2, role)
+                tables = list(itertools.product(range(n2), repeat=n1))
+                if n1:
+                    tables += [(n2,) * n1, (0,) * (n1 - 1) + (-1,)]
+                tables.append((0,) * (n1 + 1))
+                for t in tables:
+                    want = _is_map_by_definition(s1, s2, t, role)
+                    try:
+                        validate_map(s1, s2, t, role)
+                    except _LAW_ERRORS:
+                        assert not accepts(t) and not want, (role, t)
+                        rejected += 1
+                        continue
+                    verdict = accepts(t)
+                    assert verdict and want, (role, t)
+                    if role == "connectivity-hom":
+                        assert verdict == _adjoint_table(t, s1, s2)
+                    accepted += 1
+        counts[role] = (accepted, rejected)
+    assert all(a and r for a, r in counts.values()), counts
 
 
 def test_roles_constant():
@@ -523,21 +598,75 @@ def test_d_adjoint_agrees_with_right_adjoint():
 
 def test_d_on_morphism_matches_oracle():
     """D(m) sends a totally disconnected set to the maximal elements of the
-    subchainmail its image generates, for every morphism with n<=3."""
+    subchainmail its image generates, for every morphism with n<=3; the
+    batch form over each pair's whole hom set agrees, table by table."""
     gs = chainmails_up_to(3)
     for g1 in gs:
         d1 = d_lattice(g1)
         for g2 in gs:
             d2 = d_lattice(g2)
-            for table in chainmail_morphism_tables(g1, g2):
+            tables = list(chainmail_morphism_tables(g1, g2))
+            batch = list(d_on_tables(g1, g2, tables))
+            assert len(batch) == len(tables)
+            for table, image in zip(tables, batch):
                 m = PosetMap(g1, g2, table, "chainmail-morphism")
-                df = d_on_morphism(m)
+                assert d_on_morphism(m).table == image
                 for i, mask in enumerate(d1.td_sets):
-                    image = 0
+                    members = 0
                     for e in set_of(mask):
-                        image |= 1 << table[e]
-                    assert d2.td_sets[df.table[i]] == \
-                        oracles.d_image(g2, image)
+                        members |= 1 << table[e]
+                    assert d2.td_sets[image[i]] == \
+                        oracles.d_image(g2, members)
+
+
+def test_k_on_tables_matches_k_on_morphism():
+    """For every weak hom between lattices n<=4, the batch form of K
+    gives what K gives one morphism at a time: each connected element's
+    image, as an index into K of the target."""
+    lattices = lattices_up_to(4)
+    checked = 0
+    for l1 in lattices:
+        k1 = k_chainmail(l1)
+        for l2 in lattices:
+            k2 = k_chainmail(l2)
+            tables = list(connectivity_hom_tables(l1, l2, weak=True))
+            batch = list(k_on_tables(l1, l2, tables))
+            assert len(batch) == len(tables)
+            for table, image in zip(tables, batch):
+                f = PosetMap(l1, l2, table, "weak-connectivity-hom")
+                assert k_on_morphism(f).table == image
+                assert image == tuple(k2.index_of(table[e])
+                                      for e in k1.elements)
+                checked += 1
+    assert checked
+
+
+def test_d_rejection_names_the_same_witness(monkeypatch):
+    """With D's images broken (two entries swapped), the batch form and
+    the one-morphism form raise the same d-morphism-laws witness."""
+    real = DLattice.join_images
+
+    def swapped(self, lat, images):
+        out = real(self, lat, images)
+        out[1], out[2] = out[2], out[1]
+        return out
+
+    monkeypatch.setattr(DLattice, "join_images", swapped)
+    chain = as_chainmail(mk_poset(3, [(0, 1), (1, 2)]))
+    tables = list(chainmail_morphism_tables(chain, chain))
+    for i, table in enumerate(tables):
+        try:
+            d_on_morphism(PosetMap(chain, chain, table, "chainmail-morphism"))
+        except TheoremViolation as e:
+            single = e
+            break
+    else:
+        pytest.fail("no table broke")
+    assert i > 0  # the batch passes earlier tables before it breaks
+    with pytest.raises(TheoremViolation) as batch:
+        list(d_on_tables(chain, chain, tables))
+    assert single.law == batch.value.law == "d-morphism-laws"
+    assert single.witness == batch.value.witness
 
 
 # -- unit and counit -------------------------------------------------------------
