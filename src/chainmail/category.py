@@ -102,56 +102,55 @@ class PosetMap:
 
 
 def _prepare_monotone(sp, tp):
-    """accepts(table) for tables sp -> tp: the right length, values in
+    """check(table) for tables sp -> tp: the right length, values in
     range, and F(c) <= F(y) for each lower cover c of each y; by
-    transitivity along chains of covers, that is monotonicity."""
+    transitivity along chains of covers, that is monotonicity.  A table
+    that fails raises the first witness: its shape, or the order sweep's
+    pair."""
     n1, n2 = sp.n, tp.n
     edges = tuple((c, y) for y, low in sp.lower_covers() for c in low)
     above2 = tp.above
 
-    def accepts(table):
-        if len(table) != n1 or table and (min(table) < 0 or max(table) >= n2):
-            return False
+    def check(table):
+        if len(table) != n1:
+            raise AxiomViolation("table-total", (len(table), n1))
+        if table and (min(table) < 0 or max(table) >= n2):
+            i = next(i for i, v in enumerate(table) if not 0 <= v < n2)
+            raise AxiomViolation("table-range", (i, table[i]))
         for c, y in edges:
             if not above2[table[c]] >> table[y] & 1:
-                return False
+                _raise_order_break(sp, tp, table)
         return True
-    return accepts
+    return check
 
 
-def _check_monotone(sp, tp, table):
-    """Name the first broken pair (i, j), i-major, by the pullback sweep."""
+def _raise_order_break(sp, tp, table):
+    """Name the first broken pair (i, j), i-major, by the pullback sweep;
+    the cover pair the walk found broken is one, so there is a first."""
     up = pullback(table, tp.n, tp.above)  # up[v]: the x with F(x) >= v
     for i in range(sp.n):
         bad = sp.above[i] & ~up[table[i]]
         if bad:
             raise NotMonotone((i, next(iter_bits(bad))))
+    raise TheoremViolation("cover-walk", table)
 
 
 def _prepare_mail_morphism(g1, g2):
-    """accepts(table) for chainmail morphisms g1 -> g2: monotone, and the
-    join i v j of each mail {i, j} goes to the join of the images."""
+    """check(table) for chainmail morphisms g1 -> g2: monotone, and the
+    join i v j of each mail {i, j}, i < j, i-major, goes to the join of
+    the images; the first mail that fails is the witness."""
     ordered = _prepare_monotone(g1.poset, g2.poset)
     joins1, joins2 = g1.joins, g2.joins
     pairs = tuple((i, j, joins1[i][j]) for i in range(g1.n)
                   for j in iter_bits(g1.overlap[i] & -(2 << i)))  # j > i
 
-    def accepts(table):
-        if not ordered(table):
-            return False
+    def check(table):
+        ordered(table)
         for i, j, k in pairs:
             if table[k] != joins2[table[i]][table[j]]:
-                return False
-        return True
-    return accepts
-
-
-def _check_mail_joins(g1, g2, table):
-    joins1, joins2 = g1.joins, g2.joins
-    for i in range(g1.n):
-        for j in iter_bits(g1.overlap[i] & -(2 << i)):  # j > i
-            if table[joins1[i][j]] != joins2[table[i]][table[j]]:
                 raise MailJoinNotPreserved((i, j))
+        return True
+    return check
 
 
 def _adjoint_table(table, l1, l2):
@@ -172,23 +171,24 @@ def _adjoint_table(table, l1, l2):
     return tuple(adj)
 
 
-def _raise_join_break(l1, l2, table):
+def _raise_join_break(l1, l2, table, error=JoinsNotPreserved):
     """Name the first break of the join law: ``("bottom", b)`` when F
     misses bottom, else the first pair x < y, x-major, with
     F(x v y) != F(x) v F(y)."""
     if table[l1.bottom] != l2.bottom:
-        raise JoinsNotPreserved(("bottom", l1.bottom))
+        raise error(("bottom", l1.bottom))
     for x in range(l1.n):
         for y in range(x + 1, l1.n):
             if table[l1.joins[x][y]] != l2.joins[table[x]][table[y]]:
-                raise JoinsNotPreserved((x, y))
+                raise error((x, y))
     raise TheoremViolation("galois-join-test", table)
 
 
 def _prepare_galois(l1, l2):
     """adjoint(table) for tables l1 -> l2: the right adjoint G,
     G(y) = join{x : F(x) <= y}, of a monotone table that passes the
-    Galois test for joins, else None.
+    Galois test for joins.  A non-monotone table raises the order
+    sweep's witness, and one that fails the test the pairwise sweep's.
 
     A monotone F with F(0) = 0 preserves joins exactly when
     F(G(y)) <= y for every y.  If it does, x and z both lie in the
@@ -202,158 +202,105 @@ def _prepare_galois(l1, l2):
     below2 = l2.poset.below
 
     def adjoint(table):
-        if not ordered(table) or table[bottom1] != bottom2:
-            return None
+        ordered(table)
+        if table[bottom1] != bottom2:
+            raise JoinsNotPreserved(("bottom", bottom1))
         adj = _adjoint_table(table, l1, l2)
         for y, a in enumerate(adj):
             if not below2[y] >> table[a] & 1:
-                return None
+                _raise_join_break(l1, l2, table)
         return adj
     return adjoint
 
 
-def _check_join_preserving(l1, l2, table):
-    """The join law, by the cover walk and the Galois test; returns the
-    right adjoint.  Only a failure runs the pairwise sweep, to name the
-    witness: a table that keeps bottom and every pairwise join is
-    monotone, so a non-monotone table has one."""
-    adj = _prepare_galois(l1, l2)(table)
-    if adj is None:
-        _raise_join_break(l1, l2, table)
-    return adj
+def _prepare_separated_joins(l1, l2):
+    """broken(adj) for the right adjoint adj: l2 -> l1 of a
+    join-preserving table: the mask of the first separated set of l2,
+    in ``l2.separated()`` order, whose join adj does not keep, else
+    None."""
+    joins1, bottom1, bottom2 = l1.joins, l1.bottom, l2.bottom
+    sets = l2.separated()[1:]  # after the empty set, whose join is bottom
+
+    def broken(adj):
+        if adj[bottom2] != bottom1:
+            return 0
+        rhs = [bottom1]  # rhs[i]: the join of adj over the members of set i
+        for mask, join, parent, last in sets:
+            r = joins1[rhs[parent]][adj[last]]
+            if adj[join] != r:
+                return mask
+            rhs.append(r)
+        return None
+    return broken
 
 
 def _prepare_strict_hom(l1, l2):
-    """accepts(table) for connectivity homs l1 -> l2: the right adjoint of
-    a table that passes the Galois test and whose adjoint keeps the join
-    of every separated set of l2, else None."""
+    """check(table) for connectivity homs l1 -> l2: the Galois test, then
+    the right adjoint it built must keep the join of every separated set
+    of l2, the first that fails being the witness; returns the
+    adjoint."""
     adjoint = _prepare_galois(l1, l2)
-    joins1, bottom1, bottom2 = l1.joins, l1.bottom, l2.bottom
-    sets = tuple((join, parent, last)
-                 for _, join, parent, last in l2.separated()[1:])
+    broken = _prepare_separated_joins(l1, l2)
 
-    def accepts(table):
+    def check(table):
         adj = adjoint(table)
-        if adj is None or adj[bottom2] != bottom1:
-            return None
-        rhs = [bottom1]  # rhs[i]: the join of adj over the members of set i
-        for join, parent, last in sets:
-            r = joins1[rhs[parent]][adj[last]]
-            if adj[join] != r:
-                return None
-            rhs.append(r)
-        return adj
-    return accepts
-
-
-def _check_adjoint_separated_joins(l1, l2, adj):
-    """The strict law on the right adjoint ``adj`` of a join-preserving
-    table: it keeps the join of every separated set of l2."""
-    joins1 = l1.joins
-    sets = l2.separated()
-    # rhs[i]: the join of the adjoint's values on the members of set i
-    rhs = [l1.bottom] * len(sets)
-    if adj[l2.bottom] != l1.bottom:
-        raise AdjointFailsSeparatedJoins(set_of(0))
-    for i in range(1, len(sets)):
-        mask, join, parent, last = sets[i]
-        r = rhs[i] = joins1[rhs[parent]][adj[last]]
-        if adj[join] != r:
+        mask = broken(adj)
+        if mask is not None:
             raise AdjointFailsSeparatedJoins(set_of(mask))
-
-
-def _check_strict_hom(l1, l2, table):
-    """The join law, then the separated-joins law on the one right
-    adjoint the join law built."""
-    _check_adjoint_separated_joins(
-        l1, l2, _check_join_preserving(l1, l2, table))
+        return adj
+    return check
 
 
 def _prepare_weak_hom(l1, l2):
-    """accepts(table) for weak connectivity homs l1 -> l2: the Galois
-    test, and each connected element goes to a connected element."""
+    """check(table) for weak connectivity homs l1 -> l2: the Galois test,
+    then each connected element, in order, must go to a connected
+    element."""
     adjoint = _prepare_galois(l1, l2)
     conn1 = tuple(iter_bits(l1.connected_mask()))
     conn2 = l2.connected_mask()
 
-    def accepts(table):
-        if adjoint(table) is None:
-            return False
+    def check(table):
+        adjoint(table)
         for c in conn1:
             if not conn2 >> table[c] & 1:
-                return False
+                raise AxiomViolation("connected-element-preservation", c)
         return True
-    return accepts
+    return check
 
 
-def _check_connected_image(l1, l2, table):
-    conn2 = l2.connected_mask()
-    for c in iter_bits(l1.connected_mask()):
-        if not (conn2 >> table[c]) & 1:
-            raise AxiomViolation("connected-element-preservation", c)
-
-
-# role -> (the structure its maps run between, the preparer of its
-# acceptance test, and the sweeps that name a rejected table's witness,
-# run in order after the monotone sweep).  A preparer binds what the test
-# reads of both structures once; the test it returns reads only those.
+# role -> (the structure its maps run between, the preparer of its check).
+# A preparer binds what the check reads of both structures once; the check
+# it returns reads only those, and raises the first witness of a table
+# that is not a map of the role.
 _LAWS = {
-    "monotone": (carrier_poset, _prepare_monotone, ()),
-    "chainmail-morphism": (_chainmail_structure, _prepare_mail_morphism,
-                           (_check_mail_joins,)),
-    "connectivity-hom": (_lattice_structure, _prepare_strict_hom,
-                         (_check_strict_hom,)),
-    "weak-connectivity-hom": (_lattice_structure, _prepare_weak_hom, (
-        _check_join_preserving, _check_connected_image)),
+    "monotone": (carrier_poset, _prepare_monotone),
+    "chainmail-morphism": (_chainmail_structure, _prepare_mail_morphism),
+    "connectivity-hom": (_lattice_structure, _prepare_strict_hom),
+    "weak-connectivity-hom": (_lattice_structure, _prepare_weak_hom),
 }
 ROLES = tuple(_LAWS)
 _LAW_ERRORS = (AxiomViolation, NotMonotone, MailJoinNotPreserved,
                JoinsNotPreserved, AdjointFailsSeparatedJoins)
 
 
-def _holds(law, *args):
-    try:
-        law(*args)
-    except _LAW_ERRORS:
-        return False
-    return True
-
-
 def _prepare(source, target, role):
-    """``(src, tgt, accepts)``: the role's structures on both sides and
-    its acceptance test, which returns a true value exactly for the
-    tables that are maps of the role (for connectivity homs, the right
-    adjoint)."""
+    """``(src, tgt, check)``: the role's structures on both sides and its
+    check, which returns a true value for a map of the role (for
+    connectivity homs, the right adjoint) and raises the witness of any
+    other table."""
     try:
-        structure, prepare, _ = _LAWS[role]
+        structure, prepare = _LAWS[role]
     except KeyError:
         raise ValueError(f"unknown role: {role!r}") from None
     src, tgt = structure(source), structure(target)
     return src, tgt, prepare(src, tgt)
 
 
-def _raise_witness(src, tgt, table, role):
-    """Name why a rejected table is not a map of the role: the shape,
-    the monotone sweep, then each law's sweep in turn."""
-    sp, tp = carrier_poset(src), carrier_poset(tgt)
-    if len(table) != sp.n:
-        raise AxiomViolation("table-total", (len(table), sp.n))
-    for i, v in enumerate(table):
-        if not 0 <= v < tp.n:
-            raise AxiomViolation("table-range", (i, v))
-    _check_monotone(sp, tp, table)
-    for law in _LAWS[role][2]:
-        law(src, tgt, table)
-    raise TheoremViolation("prepared-test", (role, table))
-
-
 def _validate(source, target, table, role):
-    """validate_map's PosetMap, with the acceptance test's verdict."""
-    src, tgt, accepts = _prepare(source, target, role)
+    """validate_map's PosetMap, with the check's verdict."""
+    src, tgt, check = _prepare(source, target, role)
     table = tuple(map(int, table))
-    verdict = accepts(table)
-    if not verdict:
-        _raise_witness(src, tgt, table, role)
+    verdict = check(table)
     source = src if isinstance(source, Poset) else source
     target = tgt if isinstance(target, Poset) else target
     return PosetMap(source, target, table, role), verdict
@@ -364,19 +311,10 @@ def validate_map(source, target, table, role):
 
     Raw Posets are wrapped in the structure the role needs (chainmail or
     lattice); richer objects are kept as given.  The role's prepared
-    test decides; only a rejection runs the sweeps, which name the
-    witness.
+    check raises the first witness; only a broken cover or a failed
+    Galois test runs a sweep, to name it.
     """
     return _validate(source, target, table, role)[0]
-
-
-def _raise_as(law, source, target, table, role):
-    """Raise ``TheoremViolation(law, w)``, with w the witness validate_map
-    names, for a table the theory says is a map of the role."""
-    try:
-        validate_map(source, target, table, role)
-    except _LAW_ERRORS as e:
-        raise TheoremViolation(law, e.witness) from None
 
 
 def identity_map(structure, role="monotone"):
@@ -399,15 +337,18 @@ def right_adjoint(f):
 
     The map is not assumed monotone: the cover walk checks that before
     the Galois test, and either failure names the pairwise sweep's
-    witness.  The Galois law F(x) <= y iff x <= adjoint(y) is asserted
+    witness, since a table that keeps every join is monotone.  The
+    Galois law F(x) <= y iff x <= adjoint(y) is asserted
     exhaustively after construction; it cannot fail for a genuinely
     join-preserving map.
     """
     l1, l2 = _lattice_structure(f.source), _lattice_structure(f.target)
     try:
-        adj = _check_join_preserving(l1, l2, f.table)
+        adj = _prepare_galois(l1, l2)(f.table)
     except JoinsNotPreserved as e:
         raise NotJoinPreserving(e.witness) from None
+    except NotMonotone:
+        _raise_join_break(l1, l2, f.table, NotJoinPreserving)
     below_adj = pullback(adj, l1.n, l1.poset.above)  # the y with x <= adj(y)
     for x in range(l1.n):
         bad = l2.poset.above[f.table[x]] ^ below_adj[x]
@@ -440,19 +381,21 @@ def k_chainmail(lat):
 def k_on_tables(l1, l2, tables):
     """K of (weak) connectivity homomorphism tables l1 -> l2, lazily: each
     restricted to the connected elements, as a chainmail morphism table
-    K(l1) -> K(l2).  The lookups and the law test are set up once."""
+    K(l1) -> K(l2).  The lookups and the law check are set up once."""
     k1 = k_chainmail(_lattice_structure(l1))
     k2 = k_chainmail(_lattice_structure(l2))
     elements, position = k1.elements, k2.position.get
-    accepts = _prepare_mail_morphism(k1.chainmail, k2.chainmail)
+    check = _prepare_mail_morphism(k1.chainmail, k2.chainmail)
     for table in tables:
         image = tuple([position(table[e]) for e in elements])
         if None in image:
             e = elements[image.index(None)]
             raise TheoremViolation("connected-element-not-preserved",
                                    (e, table[e]))
-        if not accepts(image):
-            _raise_as("k-morphism-laws", k1, k2, image, "chainmail-morphism")
+        try:
+            check(image)
+        except _LAW_ERRORS as e:
+            raise TheoremViolation("k-morphism-laws", e.witness) from None
         yield image
 
 
@@ -468,16 +411,18 @@ def d_on_tables(g1, g2, tables):
     """D of chainmail morphism tables g1 -> g2, lazily: a totally
     disconnected set maps to the join of the singletons of its images,
     i.e. to the maximal elements of the subchainmail generated by the
-    image.  The lookups and the law test are set up once."""
+    image.  The lookups and the law check are set up once."""
     d1 = d_lattice(_chainmail_structure(g1))
     d2 = d_lattice(_chainmail_structure(g2))
     lat2 = d2.lattice
     singleton = [d2.index[1 << v] for v in range(d2.chainmail.n)]
-    accepts = _prepare_strict_hom(d1.lattice, lat2)
+    check = _prepare_strict_hom(d1.lattice, lat2)
     for table in tables:
         image = tuple(d1.join_images(lat2, [singleton[v] for v in table]))
-        if not accepts(image):
-            _raise_as("d-morphism-laws", d1, d2, image, "connectivity-hom")
+        try:
+            check(image)
+        except _LAW_ERRORS as e:
+            raise TheoremViolation("d-morphism-laws", e.witness) from None
         yield image
 
 
@@ -766,9 +711,9 @@ def connectivity_hom_tables(l1, l2, weak=False):
     if weak:
         yield from found
     else:
+        broken = _prepare_separated_joins(l1, l2)
         yield from (t for t in found
-                    if _holds(_check_adjoint_separated_joins, l1, l2,
-                              _adjoint_table(t, l1, l2)))
+                    if broken(_adjoint_table(t, l1, l2)) is None)
 
 
 # -- interchange ---------------------------------------------------------------

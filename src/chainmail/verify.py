@@ -37,28 +37,28 @@ def _poset_name(p):
     return f"poset(n={p.n}, covers={p.covers()})"
 
 
-def _lattices_up_to(n):
-    for p in posets_up_to(n):
-        try:
-            yield as_complete_lattice(p)
-        except NotALattice:
-            continue
-
-
-def _chainmails_up_to(g_bound, lattices, l_bound):
-    """Yield the chainmails up to g_bound and append the lattices up to
-    l_bound to ``lattices``, from one walk of the posets by size."""
-    for p in posets_up_to(max(g_bound, l_bound)):
+def _structures_up_to(l_bound, g_bound=0):
+    """One walk of the posets by size, up to the larger bound, yielding
+    ``(lattice, chainmail)`` per poset: the poset as a complete lattice
+    if it has at most l_bound elements and is one, else None, and as a
+    chainmail if it has at most g_bound elements and is one, else None."""
+    for p in posets_up_to(max(l_bound, g_bound)):
+        lat = g = None
         if p.n <= l_bound:
             try:
-                lattices.append(as_complete_lattice(p))
+                lat = as_complete_lattice(p)
             except NotALattice:
                 pass
         if p.n <= g_bound:
             try:
-                yield as_chainmail(p)
+                g = as_chainmail(p)
             except NotAChainmail:
                 pass
+        yield lat, g
+
+
+def _lattices_up_to(n):
+    return (lat for lat, _ in _structures_up_to(n) if lat is not None)
 
 
 def _bound(max_size, default):
@@ -147,8 +147,12 @@ def suite_unit_counit(max_size=None):
     bound = _bound(max_size, 6)
     report = SuiteReport("unit-counit",
                          f"chainmails and lattices from n<={bound}")
-    ls = []
-    for g in _chainmails_up_to(bound, ls, bound):
+    ls = []  # the lattices wait; the chainmails are checked as they come
+    for lat, g in _structures_up_to(bound, bound):
+        if lat is not None:
+            ls.append(lat)
+        if g is None:
+            continue
         report.checked += 1
         name = _poset_name(g.poset)
         try:
@@ -181,7 +185,7 @@ def check_adjunction_bijection(g, lat, weak=False):
     transposed once: the way back is only taken from lattice maps that
     no chainmail morphism reached.  Each pass is one lazy batch through
     ``category.d_on_tables`` and one through ``category.k_on_tables``,
-    which set up their lookups and law tests once per pass and still
+    which set up their lookups and law checks once per pass and still
     finish one table's checks before they start the next.  Returns the
     common hom-set size; raises TheoremViolation on any mismatch.
     """
@@ -247,8 +251,12 @@ def suite_adjunction(max_size=None):
     l_bound = g_bound + 1
     report = SuiteReport(
         "adjunction", f"chainmails n<={g_bound} x lattices n<={l_bound}")
-    ls = []
-    gs = list(_chainmails_up_to(g_bound, ls, l_bound))
+    ls, gs = [], []
+    for lat, g in _structures_up_to(l_bound, g_bound):
+        if lat is not None:
+            ls.append(lat)
+        if g is not None:
+            gs.append(g)
     for g in gs:
         gname = _poset_name(g.poset)
         for lat in ls:
