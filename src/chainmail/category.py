@@ -608,55 +608,116 @@ def check_naturality(f):
 
 # -- hom-set enumeration -------------------------------------------------------
 #
-# The four enumerators run one search, ``_tables``.  Both readings of
-# connectivity homs share one search over the weak masks; the strict law,
-# a global condition on the right adjoint, filters its finished tables.
+# The four enumerators run one search, ``_tables``.  It branches only at
+# the elements that no incomparable pair joins to; every other element is
+# forced, its value the join of the images of a pair.  In a lattice the
+# pairs with a join-irreducible member suffice, and a forced element needs
+# no cover check: the lattice is generated by its join-irreducibles.  Both
+# readings of connectivity homs share one search over the weak masks; the
+# strict law, a global condition on the right adjoint, filters its
+# finished tables.
 
 def _tables(p1, p2, joins1=None, joins2=None, allowed=None):
     """Every monotone table p1 -> p2 with table[x] in the mask allowed[x]
-    that carries the partial pairwise-join table joins1 onto joins2.
+    that carries the partial pairwise-join table joins1 onto joins2, in
+    lexicographic order along the linear extension ``p1.lower_covers()``.
 
-    Backtracks over a linear extension of p1.  The value of x lies above
-    the images of its lower covers.  Each incomparable pair (a, b) with a
-    defined join x is checked once, when x is assigned: the first such
-    pair fixes the value of x, every other one must agree, and an
-    undefined join of the images ends the branch.
+    Backtracks only over the branching elements, the x that no
+    incomparable pair (a, b) with a defined join joins to.  A branching x
+    takes each value in allowed[x] above the images of its lower covers.
+    The run of forced elements after it in the linear extension follows
+    without branching: the first pair at a forced x fixes its value, every
+    other pair must agree, the value must lie in allowed[x] and above the
+    images of x's lower covers, and an undefined join of the images ends
+    the branch.  A forced value is a function of the values before it, so
+    the order along the branching elements is the order along all of p1.
+
+    A total joins1 makes p1 a lattice: every pair has a join, and a
+    common lower bound, as a chainmail's table leaves out the pairs with
+    none.  Then the search keeps only the pairs (j, y) with j
+    join-irreducible, that is with one lower cover j*, and forced elements
+    skip the cover check.  Both rules are exact:
+
+    (i) Say F(j) >= F(j*) at each irreducible j, and
+    F(j v y) = F(j) v F(y) for each irreducible j and each y incomparable
+    to j with j v y <= x.  Then F on
+    the down-set of x keeps every join a v b <= x, and so is monotone
+    (a <= b gives F(b) = F(a) v F(b)).  By induction on z = a v b <= x,
+    all joins below z being kept.  If z = 0, a = b = 0.  If z is
+    irreducible, one of a, b is z, as two elements below z lie below z*;
+    say a = z.  Then b <= z* or b = z, so F(b) <= F(z*) <= F(z).  If z is
+    reducible and a = z, b lies below a lower cover c of z, and by (ii)
+    z = j v c for an irreducible j incomparable to c, so
+    F(z) = F(j) v F(c) >= F(c) >= F(b).  Otherwise a, b < z are
+    incomparable; induct on a.  An irreducible a is a kept pair.  Else
+    a = a1 v a2 with a1, a2 < a (two lower covers), F(a) = F(a1) v F(a2),
+    and z = a1 v w with w = a2 v b.  If w < z, F(w) = F(a2) v F(b) and the
+    pair (a1, w) gives F(z) = F(a1) v F(w) = F(a) v F(b).  If w = z, the
+    pair (a2, b) gives F(z) = F(a2) v F(b) <= F(a) v F(b) <= F(z).
+
+    (ii) Each element is the join of the irreducibles below it (a
+    reducible z is the join of two lower covers, which are such joins by
+    induction).  So for a reducible x and each lower cover c of x some
+    irreducible j <= x has j not <= c; then c < j v c <= x gives
+    j v c = x, and c < j would make j = x, which is reducible.  So (j, c)
+    is a kept incomparable pair joining to x, every reducible x is forced,
+    and the branching elements are 0 and the irreducibles, which keep
+    their cover checks.  By (i) the kept pairs then prune every branch the
+    full pair and cover checks prune, at the same element.
     """
     n = p1.n
-    full = p2.full_mask()
-    at = [[] for _ in range(n)]  # x -> the incomparable pairs joining to x
-    if joins1 is not None:
-        for a in range(n):
-            row = joins1[a]
-            for b in iter_bits(~(p1.above[a] | p1.below[a]) & -(2 << a)
-                               & p1.full_mask()):
-                if row[b] is not None:
-                    at[row[b]].append((a, b))
-    order, start, covers, pairs = [], [], [], []
-    for x, low in p1.lower_covers():
-        order.append(x)
-        start.append(full if allowed is None else allowed[x])
-        covers.append(low)
-        pairs.append(at[x])
-    above2 = p2.above
-    table = [0] * n
-
-    def options(k):
-        cand = start[k]
-        for y in covers[k]:
-            cand &= above2[table[y]]
-        fixed = None
-        for a, b in pairs[k]:
-            v = joins2[table[a]][table[b]]
-            if v is None or fixed is not None and v != fixed:
-                return 0
-            fixed = v
-        return cand if fixed is None else cand & (1 << fixed)
-
     if n == 0:
         yield ()
         return
-    untried = [options(0)] + [0] * (n - 1)
+    full = p2.full_mask()
+    lattice = joins1 is not None and all(None not in row for row in joins1)
+    # a kept pair (a, b) has a < b; in a lattice, a is irreducible instead,
+    # and a pair of two irreducibles is kept once, with a < b
+    lead = [not lattice or len(low) == 1
+            for x, low in sorted(p1.lower_covers())]
+    at = [[] for _ in range(n)]  # x -> the kept incomparable pairs joining to x
+    if joins1 is not None:
+        for a in range(n):
+            if not lead[a]:
+                continue
+            row = joins1[a]
+            for b in iter_bits(~(p1.above[a] | p1.below[a]) & p1.full_mask()):
+                if (b > a or not lead[b]) and row[b] is not None:
+                    at[row[b]].append((a, b))
+    branches, runs = [], []  # runs[k]: the forced elements after branches[k]
+    for x, low in p1.lower_covers():
+        allow = full if allowed is None else allowed[x]
+        if not at[x]:
+            branches.append((x, allow, low))
+            runs.append([])
+        else:
+            runs[-1].append((x, allow, () if lattice else low,
+                             at[x][0], at[x][1:]))
+    above2 = p2.above
+    table = [0] * n
+
+    def forced(run):
+        for x, allow, low, (a, b), rest in run:
+            v = joins2[table[a]][table[b]]
+            if v is None or not allow >> v & 1:
+                return False
+            for c in low:
+                if not above2[table[c]] >> v & 1:
+                    return False
+            for a, b in rest:
+                if joins2[table[a]][table[b]] != v:
+                    return False
+            table[x] = v
+        return True
+
+    def options(k):
+        _, cand, low = branches[k]
+        for c in low:
+            cand &= above2[table[c]]
+        return cand
+
+    last = len(branches) - 1
+    untried = [options(0)] + [0] * last
     k = 0
     while k >= 0:
         rest = untried[k]
@@ -665,8 +726,10 @@ def _tables(p1, p2, joins1=None, joins2=None, allowed=None):
             continue
         low = rest & -rest
         untried[k] = rest ^ low
-        table[order[k]] = low.bit_length() - 1
-        if k == n - 1:
+        table[branches[k][0]] = low.bit_length() - 1
+        if runs[k] and not forced(runs[k]):
+            continue
+        if k == last:
             yield tuple(table)
         else:
             k += 1

@@ -884,17 +884,23 @@ def test_hom_enumeration_basics(b2):
     assert first == list(connectivity_hom_tables(b2, b2))
 
 
-def accepted_tables(source, target, role):
-    """Every table source -> target that validate_map accepts at role."""
-    n1, n2 = (carrier_poset(x).n for x in (source, target))
+def accepted(source, target, tables, role):
+    """The tables source -> target that validate_map accepts at role."""
     out = []
-    for table in itertools.product(range(n2), repeat=n1):
+    for table in tables:
         try:
             validate_map(source, target, table, role)
         except ChainmailError:
             continue
         out.append(table)
     return out
+
+
+def accepted_tables(source, target, role):
+    """Every table source -> target that validate_map accepts at role."""
+    n1, n2 = (carrier_poset(x).n for x in (source, target))
+    return accepted(source, target,
+                    itertools.product(range(n2), repeat=n1), role)
 
 
 def strict_homs_by_validation(l1, l2):
@@ -918,29 +924,45 @@ def preserves_joins(l1, l2, table):
     return True
 
 
+def in_search_order(p, tables):
+    """tables sorted by their values along the linear extension
+    ``p.lower_covers()``, the order the hom search yields them in."""
+    order = [x for x, _ in p.lower_covers()]
+    return sorted(tables, key=lambda t: [t[x] for x in order])
+
+
 def test_enumerators_match_brute_force():
-    """Each enumerator yields, once each, exactly the tables whose role
-    laws validate_map accepts: chainmails n<=3 into each other, and
-    lattices n<=5 into lattices n<=4.  The five-element sources include
-    M3 and N5, where one element is the join of several incomparable
-    pairs."""
+    """Each enumerator yields exactly the tables the definition accepts,
+    once each, in lexicographic order along the source's linear
+    extension: lattices n<=5 and the D lattices of chainmails n<=3 into
+    lattices n<=4, and chainmails n<=5 into chainmails n<=3.  The
+    reference is itertools.product, filtered by the join law and then by
+    validate_map.  The five-element lattices include M3 and N5, where one
+    element is the join of several incomparable pairs.  In a D lattice
+    most elements are such joins, so the search fixes their values
+    instead of branching.  The five-element chainmail sources have forced
+    values that only their cover check rejects."""
     gs = chainmails_up_to(3)
+    for g1 in chainmails_up_to(5):
+        for g2 in gs:
+            assert list(chainmail_morphism_tables(g1, g2)) == in_search_order(
+                g1.poset, accepted_tables(g1, g2, "chainmail-morphism"))
     for g1 in gs:
         for g2 in gs:
-            assert sorted(monotone_tables(g1.poset, g2.poset)) == \
-                accepted_tables(g1.poset, g2.poset, "monotone")
-            assert sorted(chainmail_morphism_tables(g1, g2)) == \
-                accepted_tables(g1, g2, "chainmail-morphism")
+            assert list(monotone_tables(g1.poset, g2.poset)) == \
+                in_search_order(g1.poset, accepted_tables(
+                    g1.poset, g2.poset, "monotone"))
     targets = lattices_up_to(4)
-    for l1 in lattices_up_to(5):
+    for l1 in lattices_up_to(5) + [d_lattice(g).lattice for g in gs[1:]]:
         for l2 in targets:
-            assert sorted(join_preserving_tables(l1, l2)) == [
+            joining = in_search_order(l1.poset, [
                 t for t in itertools.product(range(l2.n), repeat=l1.n)
-                if preserves_joins(l1, l2, t)]
-            assert sorted(connectivity_hom_tables(l1, l2)) == \
-                accepted_tables(l1, l2, "connectivity-hom")
-            assert sorted(connectivity_hom_tables(l1, l2, weak=True)) == \
-                accepted_tables(l1, l2, "weak-connectivity-hom")
+                if t[l1.bottom] == l2.bottom and preserves_joins(l1, l2, t)])
+            assert list(join_preserving_tables(l1, l2)) == joining
+            for weak, role in ((False, "connectivity-hom"),
+                               (True, "weak-connectivity-hom")):
+                assert list(connectivity_hom_tables(l1, l2, weak=weak)) == \
+                    accepted(l1, l2, joining, role)
 
 
 def test_strict_homs_out_of_d_lattices_match_filtered_search():
@@ -962,7 +984,9 @@ def test_hom_bijection_exhaustive():
     chainmail and lattice with at most 5 elements each, in both the
     strict and the weak reading.  check_adjunction_bijection rebuilds
     both hom sets, transposes every member both ways, and raises on any
-    mismatch; strict homs can never outnumber weak ones."""
+    mismatch; strict homs can never outnumber weak ones.  Both readings
+    sum to 18529 homs over the 450 pairs, so a search that loses homs on
+    both sides fails."""
     from chainmail.verify import check_adjunction_bijection
 
     gs = []
@@ -977,11 +1001,16 @@ def test_hom_bijection_exhaustive():
                 lats.append(as_complete_lattice(p))
             except NotALattice:
                 continue
+    totals = [0, 0]
     for g in gs:
         for lat in lats:
             strict = check_adjunction_bijection(g, lat, weak=False)
             weak = check_adjunction_bijection(g, lat, weak=True)
             assert strict <= weak
+            totals[0] += strict
+            totals[1] += weak
+    assert (len(gs), len(lats)) == (45, 10)
+    assert totals == [18529, 18529]
 
 
 def test_point_to_powerset_hom_count(b2):

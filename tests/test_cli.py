@@ -1,10 +1,15 @@
 """The command-line surface, driven in process through main()."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainmail
 from chainmail import verify
 from chainmail.category import k_chainmail
 from chainmail.cli import main
@@ -337,3 +342,20 @@ def test_unreadable_json(verb, content, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
+
+
+def test_python_m_chainmail_runs_main(capsys):
+    """``python -m chainmail`` from a source checkout runs cli.main: the
+    same exit status and the same report."""
+    argv = ["verify", "--suite", "pairwise-criterion", "--max-size", "3"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    src = str(Path(chainmail.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    done = subprocess.run([sys.executable, "-m", "chainmail", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want
