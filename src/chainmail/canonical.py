@@ -24,15 +24,15 @@ def iter_bits(mask):
         mask ^= low
 
 
-def transpose(n, above):
-    below = [0] * n
-    for i in range(n):
-        row = above[i]
+def transpose(n, rows):
+    """Column masks, over columns 0..n-1, of the bit rows ``rows``."""
+    cols = [0] * n
+    for i, row in enumerate(rows):
         while row:
             low = row & -row
-            below[low.bit_length() - 1] |= 1 << i
+            cols[low.bit_length() - 1] |= 1 << i
             row ^= low
-    return below
+    return cols
 
 
 def refine_colors(n, above, below):

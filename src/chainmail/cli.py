@@ -33,7 +33,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path):
-    """Parse a JSON file; bad UTF-8 and deep nesting are malformed JSON."""
+    """Parse a JSON file; bad UTF-8, deep nesting and integers past the
+    interpreter's digit limit are malformed JSON."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -42,6 +43,10 @@ def _load_json(path):
             raise json.JSONDecodeError("not UTF-8", head, len(head)) from None
         except RecursionError:
             raise json.JSONDecodeError("nesting too deep", "", 0) from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # int() refuses more digits than its limit
+            raise json.JSONDecodeError("integer too long", "", 0) from None
 
 
 def _load_poset(path, budget=None):
@@ -167,8 +172,7 @@ def _cmd_represent(args):
         return _usage(args, f"--max-points must be at least 1, "
                             f"got {args.max_points}")
     g = as_chainmail(_load_poset(args.file, budget=args.budget))
-    space = sources.search_connectivity_representation(
-        g, args.max_points, budget=args.search_budget)
+    space = sources.search_connectivity_representation(g, args.max_points)
     if space is None:
         print(f"absent: no connectivity space on at most "
               f"{args.max_points} points has this chainmail")
@@ -253,8 +257,6 @@ def _build_parser():
                                "a chainmail")
     sub.add_argument("file", help="chainmail (poset JSON)")
     sub.add_argument("--max-points", type=int, required=True)
-    sub.add_argument("--search-budget", type=int, default=None,
-                     help="override the point cap for the search")
     _add_budget(sub)
     sub.set_defaults(handler=_cmd_represent)
 
@@ -271,11 +273,9 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    budgets = (("--budget", getattr(args, "budget", None)),
-               ("--search-budget", getattr(args, "search_budget", None)))
-    for flag, value in budgets:
-        if value is not None and value < 0:
-            return _usage(args, f"{flag} must be at least 0, got {value}")
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget < 0:
+        return _usage(args, f"--budget must be at least 0, got {budget}")
     try:
         return args.handler(args)
     except TheoremViolation as e:

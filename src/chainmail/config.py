@@ -2,8 +2,9 @@
 
 All the constructions here are exponential in the worst case; desk scale
 is the target.  The family cap is one constant, read at call time,
-because the families it bounds are cached on their structures; every
-other budget can be overridden per call, and the poset cap also via the
+because most families it bounds are cached on their structures; it also
+bounds the candidate up-sets of a representation search.  Every other
+budget can be overridden per call, and the poset cap also via the
 CHAINMAIL_BUDGET environment variable.
 """
 
@@ -15,7 +16,6 @@ DEFAULT_POSET_CAP = 24        # validated input posets
 DEFAULT_FAMILY_CAP = 1 << 16  # materialized set families (td sets, separated sets)
 DEFAULT_ENUM_CAP = 11         # exhaustive generation
 DEFAULT_GROUND_CAP = 5        # ground sets of graphs, topologies, spaces
-DEFAULT_SEARCH_CAP = 8        # point budget for representation search
 
 
 def poset_cap(override=None):
@@ -41,6 +41,3 @@ def enum_cap(override=None):
 def ground_cap(override=None):
     return DEFAULT_GROUND_CAP if override is None else override
 
-
-def search_cap(override=None):
-    return DEFAULT_SEARCH_CAP if override is None else override

@@ -5,18 +5,19 @@ each carry a notion of connected subset, and in every case the nonempty
 connected subsets ordered by inclusion form a chainmail.  This module
 houses those builders, the powerset and down-set lattice generators used
 throughout the test suites, the seven-element counterexample chainmail,
-and an exhaustive search deciding whether a given chainmail is the
-connected-set poset of any connectivity space on a bounded point set.
+and an exact search for the fewest points of a connectivity space whose
+connected-set poset is a given chainmail.  Its points are up-sets obeying
+a primeness rule, as the points of a frame are its completely prime
+filters, so the search runs over families of up-sets and can prove that
+no space of any size exists.
 """
 
-import itertools
-
 from . import config
-from .canonical import iter_bits
+from .canonical import iter_bits, transpose
 from .errors import AxiomViolation, SizeBudgetExceeded, TheoremViolation
 from .lattice import CompleteLattice
 from .mails import as_chainmail
-from .poset import (Poset, _down_closed_masks, heights, lower_order,
+from .poset import (Poset, _down_closed_masks, components, lower_order,
                     validate_poset)
 
 
@@ -235,19 +236,8 @@ def _check_ground(what, size, budget):
 
 
 def _graph_connected_masks(vertices, adjacency):
-    out = []
-    for mask in range(1, 1 << vertices):
-        seen = mask & -mask
-        frontier = seen
-        while frontier:
-            grown = 0
-            for x in iter_bits(frontier):
-                grown |= adjacency[x] & mask
-            frontier = grown & ~seen
-            seen |= grown
-        if seen == mask:
-            out.append(mask)
-    return out
+    return [m for m in range(1, 1 << vertices)
+            if len(components(adjacency, m)) == 1]
 
 
 def chainmail_from_graph(g, budget=None):
@@ -264,33 +254,16 @@ def hypergraph_from_graph(g):
 
 
 def _hypergraph_connected(mask, edge_masks):
-    inside = [e for e in edge_masks if e & ~mask == 0]
+    """Whether the hyperedges inside ``mask`` cover it and, glued along
+    shared points, link all of it into one component."""
+    touch = [0] * mask.bit_length()
     covered = 0
-    for e in inside:
-        covered |= e
-    if covered != mask:
-        return False
-    # hyperedges inside the subset, glued along shared points, must form
-    # a single block: distinct blocks have disjoint point sets, so two
-    # points in different blocks admit no linking sequence
-    blocks = 0
-    rest = inside
-    while rest:
-        comp = rest[0]
-        rest = rest[1:]
-        changed = True
-        while changed:
-            changed = False
-            keep = []
-            for e in rest:
-                if e & comp:
-                    comp |= e
-                    changed = True
-                else:
-                    keep.append(e)
-            rest = keep
-        blocks += 1
-    return blocks == 1
+    for e in edge_masks:
+        if e & ~mask == 0:
+            covered |= e
+            for x in iter_bits(e):
+                touch[x] |= e
+    return covered == mask and len(components(touch, mask)) == 1
 
 
 def chainmail_from_hypergraph(h, budget=None):
@@ -379,9 +352,10 @@ def counterexample_chainmail():
 
     Elements are named 1..7; 1 sits below 2 and 3, element 4 is the
     second minimal element, 5 joins {2,3,4} above, 6 covers 3 and 4,
-    and 7 tops 5 and 6.  Pairs like {3,4} have a common point below but
-    their joins run through incomparable elements, which is what rules
-    out a connected-subset representation.
+    and 7 tops 5 and 6.  It is not a lattice: {3,4} has the two minimal
+    upper bounds 5 and 6.  No family of up-sets meets the rules of
+    :func:`_least_family`, so :func:`search_connectivity_representation`
+    returns None for it at every point bound.
     """
     pairs = [(0, 1), (0, 2), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5),
              (4, 6), (5, 6)]
@@ -391,115 +365,120 @@ def counterexample_chainmail():
 
 # -- representability ----------------------------------------------------------
 
-def _point_classes(k, assigned):
-    """Group the k points by their membership pattern in assigned sets."""
-    signature = {}
-    for point in range(k):
-        sig = tuple((m >> point) & 1 for m in assigned)
-        signature.setdefault(sig, []).append(point)
-    return [tuple(cls) for cls in signature.values()]
+def _candidate_upsets(p, joinable):
+    """Every nonempty up-set of ``p`` whose elements pairwise have joins;
+    ``joinable[x]`` is the mask of elements that have a join with x.
 
-
-def _candidate_masks(k, floor, assigned):
-    """Supersets of floor, canonical within interchangeable point classes.
-
-    Points with the same membership pattern across all assigned sets can
-    be permuted freely without touching any constraint, so only class
-    prefixes need trying; every representation is reachable from one in
-    which each chosen set meets each class in a prefix.
+    Built top down along the reverse of a linear extension: x extends
+    each set already built that holds its strict up-set and only elements
+    it has a join with.  A candidate cut down to the elements walked so
+    far is one, so all are reached, and no other up-set is built: an
+    antichain of 24 has 2^24 up-sets but 24 candidates.
     """
-    out_classes = [cls for cls in _point_classes(k, assigned)
-                   if not (floor >> cls[0]) & 1]
-    choices = []
-    for cls in out_classes:
-        prefixes = [0]
-        acc = 0
-        for point in cls:
-            acc |= 1 << point
-            prefixes.append(acc)
-        choices.append(prefixes)
-    for picks in itertools.product(*choices):
-        mask = floor
-        for m in picks:
-            mask |= m
-        if mask:
-            yield mask
+    cap = config.DEFAULT_FAMILY_CAP
+    masks = [0]
+    for x, _ in reversed(p.lower_covers()):
+        bit = 1 << x
+        strict = p.above[x] ^ bit
+        masks += [u | bit for u in masks
+                  if u & strict == strict and u & ~joinable[x] == 0]
+        if len(masks) > cap:
+            raise SizeBudgetExceeded("candidate up-sets", len(masks), cap)
+    return masks[1:]
 
 
-def _search_assignment(g, k):
-    """Assign a k-point set to every element, bottom elements first.
+def _least_family(g, max_size):
+    """A least family of up-sets that represents g, if one has at most
+    ``max_size`` members; else None.
 
-    Strictly smaller elements force a floor, incomparable ones must stay
-    inclusion-incomparable, and whenever two assigned sets overlap their
-    join must exist and is pinned to carry exactly the union; the pin is
-    checked when the join's turn comes.  Returns the masks by element,
-    or None when the whole tree is exhausted.
+    A family F of nonempty up-sets, with phi(e) = {U in F : e in U},
+    represents g on |F| points exactly when: (a) every element lies in a
+    member; (b) for each e !<= f, a member holds e and not f; (c) if e
+    and f lie in one member, e v f exists, and each member holding e v f
+    holds e or f.
+
+    1. From a representation, drop the points in no image and merge
+       those with equal up-sets U_p = {e : p in phi(e)}.  (a) as images
+       are nonempty; (b) as inclusion mirrors the order.  (c): if U_p
+       holds e and f, phi(e) and phi(f) overlap, so their union is the
+       image of an upper bound below all others, e v f, and every point
+       of phi(e v f) lies in phi(e) or phi(f).
+    2. From a family, phi is monotone, (a) makes images nonempty and (b)
+       keeps phi(e) outside phi(f) when e !<= f.  Overlapping images share
+       a member, so e v f exists, and phi(e v f) = phi(e) | phi(f) by
+       (c).  So the images are closed under overlapping pairwise unions, a
+       connectivity space (see ConnectivitySpace) with chainmail g, and
+       the least family size is the least point count.
+    3. (c) holds within each member (the candidates) and between pairs of
+       members (the clash rows), so every subfamily keeps it.
+    4. The cut rule.  A pass branches on the open requirement of (a) or
+       (b) with the fewest allowed options, and forbids each tried option
+       to its later siblings.  Follow any family F down a pass: picked
+       members lie in F and F's other members stay allowed, so the open
+       requirement has an option in F, and the first such is F's branch.
+       So F's path finds a family, or is cut at the bound when |F|
+       exceeds it.  A pass that cuts nothing thus proves that no family
+       exists, and as each pick meets a new requirement, deepening stops
+       by itself.
     """
     p = g.poset
     n = p.n
-    level = heights(p)
-    order = sorted(range(n), key=lambda i: (level[i], i))
-    join_index = [[p.join_mask((1 << i) | (1 << j)) for j in range(n)]
-                  for i in range(n)]
-    phi = [None] * n
-    taken = set()
-    pinned = {}
+    joinable = [p.above[x] | p.below[x] for x in range(n)]
+    joins = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = None if joinable[i] >> j & 1 else p.join_mask(
+                (1 << i) | (1 << j))
+            if k is not None:
+                joins.append((i, j, k))
+                joinable[i] |= 1 << j
+                joinable[j] |= 1 << i
+    ups = _candidate_upsets(p, joinable)
+    has = transpose(n, ups)  # the candidates that hold each element
+    needs = set(has)  # rule (a), then (b): F must meet each of these
+    needs.update(has[e] & ~has[f] for e in range(n)
+                 for f in iter_bits(p.full_mask() & ~p.above[e]))
+    if 0 in needs:
+        return None
+    # rule (c): no member holding i and j beside one holding i v j only
+    rules = [(has[i] & has[j], has[k] & ~(has[i] | has[j]))
+             for i, j, k in joins]
+    clash = {}
 
-    def viable(v, mask):
-        """Check mask against every assigned element; returns the pins
-        this choice adds, or None when the choice is contradictory."""
-        added = {}
-        for u in order:
-            if phi[u] is None or u == v:
-                continue
-            other = phi[u]
-            if p.leq(u, v):
-                continue
-            if other | mask == mask or mask | other == other:
-                return None
-            if other & mask:
-                j = join_index[u][v]
-                if j is None:
-                    return None
-                want = other | mask
-                have = pinned.get(j)
-                if have is None:
-                    have = added.setdefault(j, want)
-                if have != want:
-                    return None
-        return added
+    def clashes(c):
+        if c not in clash:
+            bit, row = 1 << c, 0
+            for both, neither in rules:
+                if both & bit:
+                    row |= neither
+                elif neither & bit:
+                    row |= both
+            clash[c] = row
+        return clash[c]
 
-    def assign(idx):
-        if idx == len(order):
-            return True
-        v = order[idx]
-        floor = 0
-        for u in iter_bits(p.below[v] & ~(1 << v)):
-            floor |= phi[u]
-        pin = pinned.get(v)
-        if pin is not None:
-            candidates = [pin] if pin | floor == pin else []
-        else:
-            candidates = _candidate_masks(k, floor, [phi[u] for u in order
-                                                     if phi[u] is not None])
-        for mask in candidates:
-            if mask in taken:
-                continue
-            added = viable(v, mask)
-            if added is None:
-                continue
-            phi[v] = mask
-            taken.add(mask)
-            pinned.update(added)
-            if assign(idx + 1):
-                return True
-            phi[v] = None
-            taken.discard(mask)
-            for key in added:
-                del pinned[key]
-        return False
+    def extend(chosen, allowed, open_needs, room):
+        nonlocal cut
+        if not open_needs:
+            return chosen
+        if not room:
+            cut = True
+            return None
+        options = min((r & allowed for r in open_needs), key=int.bit_count)
+        for c in iter_bits(options):
+            allowed &= ~(1 << c)
+            found = extend(chosen + [ups[c]], allowed & ~clashes(c),
+                           [r for r in open_needs if not r >> c & 1],
+                           room - 1)
+            if found is not None:
+                return found
+        return None
 
-    return list(phi) if assign(0) else None
+    for size in range(max_size + 1):
+        cut = False
+        family = extend([], (1 << len(ups)) - 1, sorted(needs), size)
+        if family is not None or not cut:
+            return family
+    return None
 
 
 def _verify_assignment(g, phi):
@@ -515,45 +494,24 @@ def _verify_assignment(g, phi):
     return True
 
 
-def _trimmed_space(phi):
-    used = 0
-    for m in phi:
-        used |= m
-    rename = {}
-    for point in iter_bits(used):
-        rename[point] = len(rename)
-    members = [()]
-    for m in phi:
-        members.append(tuple(rename[b] for b in iter_bits(m)))
-    return ConnectivitySpace(len(rename), members)
+def search_connectivity_representation(g, max_points):
+    """A connectivity space on the fewest points, at most ``max_points``,
+    whose chainmail is isomorphic to g; or None.
 
-
-def search_connectivity_representation(g, max_points, budget=None):
-    """Find a connectivity space realizing the chainmail, or None.
-
-    Searches exhaustively for an assignment of nonempty point sets to
-    the elements of g, over ground sets of 1..max_points points, such
-    that inclusion mirrors the order and overlapping images force the
-    image of the join to be their union; those conditions make the image
-    family a connectivity space with connected-set poset isomorphic to
-    g.  Smaller ground sets are tried first, so a hit uses as few points
-    as possible; None means no space on max_points or fewer points
-    works.
+    Its points are the members of a least family of up-sets found by
+    :func:`_least_family`, and each element is the set of members that
+    hold it.  The search is exact: when it returns None before reaching
+    ``max_points`` it has proved that no space of any size realizes g.
     """
-    cap = config.search_cap(budget)
-    if max_points > cap:
-        raise SizeBudgetExceeded("representation search points",
-                                 max_points, cap)
-    if g.n == 0:
-        return ConnectivitySpace(0, [()])
-    for k in range(1, max_points + 1):
-        phi = _search_assignment(g, k)
-        if phi is not None:
-            if not _verify_assignment(g, phi):
-                raise TheoremViolation("representation-search-consistency",
-                                       tuple(phi))
-            return _trimmed_space(phi)
-    return None
+    family = _least_family(g, max_points)
+    if family is None:
+        return None
+    phi = transpose(g.n, family)
+    if not _verify_assignment(g, phi):
+        raise TheoremViolation("representation-search-consistency",
+                               tuple(phi))
+    return ConnectivitySpace(len(family),
+                             [()] + [_members_tuple(m) for m in phi])
 
 
 # -- interchange ---------------------------------------------------------------

@@ -335,6 +335,40 @@ def union_closure_holds(family_masks):
     return True
 
 
+def least_representation_points(n, rows, max_points):
+    """Fewest points, at most ``max_points``, of a connectivity space whose
+    connected-set poset is the poset ``rows``; None when there is none.
+
+    Tries injective assignments of nonempty point sets, one element at a
+    time: inclusion must mirror the order, and two overlapping images
+    must have a join whose image is their union.
+    """
+    def mirrors(images, s):
+        i = len(images)
+        return all(((s & t) == s) == bool((rows[i] >> j) & 1)
+                   and ((s & t) == t) == bool((rows[j] >> i) & 1)
+                   for j, t in enumerate(images))
+
+    def unions_are_joins(images):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if images[i] & images[j]:
+                    join = least_upper_bound(n, rows, (1 << i) | (1 << j))
+                    if join is None or images[join] != images[i] | images[j]:
+                        return False
+        return True
+
+    def assign(images, k):
+        if len(images) == n:
+            return unions_are_joins(images)
+        return any(assign(images + [s], k) for s in range(1, 1 << k)
+                   if s not in images and mirrors(images, s))
+
+    for k in range(max_points + 1):
+        if assign([], k):
+            return k
+    return None
+
 # -- count transforms -----------------------------------------------------------
 
 def euler_transform(a):

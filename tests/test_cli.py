@@ -217,11 +217,18 @@ def test_budget_env_must_not_be_negative(cx_file, capsys, monkeypatch):
      "--budget"),
 ])
 def test_negative_budget_is_a_usage_error(argv, flag, cx_file, capsys):
+    """``--search-budget`` is gone with the point cap: an unknown argument."""
     argv = [cx_file if a == "FILE" else a for a in argv]
-    assert main(argv) == 3
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{flag} must be at least 0" in captured.err
+    want = (f"{flag} must be at least 0" if flag == "--budget"
+            else f"unrecognized arguments: {flag}")
+    assert want in captured.err
 
 
 def test_enumerate_counts(capsys):
@@ -289,12 +296,12 @@ def test_represent_found(tmp_path, capsys):
 
 
 def test_represent_budget(tmp_path, capsys):
+    """No point cap: any --max-points of at least 1 is searched."""
     f = write_json(tmp_path / "pt.json",
                    {"elements": ["a"], "covers": []})
-    assert main(["represent", f, "--max-points", "9"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-    assert main(["represent", f, "--max-points", "9",
-                 "--search-budget", "9"]) == 0
+    assert main(["represent", f, "--max-points", "9"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "found: connectivity space on 1 points")
 
 
 def test_render(cx_file, tmp_path, capsys):
@@ -328,20 +335,26 @@ def test_garbage_json(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("verb", [["check"], ["build", "graph"]])
+@pytest.mark.parametrize("verb", [
+    ["check"], ["build", "graph"], ["render"], ["dlattice"], ["klattice"],
+    ["represent", "--max-points", "3"], ["build", "hypergraph"],
+    ["build", "topology"], ["build", "connspace"]])
 @pytest.mark.parametrize("content, message", [
     (b'{"vertices":\n 1,\xff}', "error: not UTF-8: line 2 column 4 (char 16)"),
     (b"[" * 200000, "error: nesting too deep"),
-], ids=["not-utf8", "too-deep"])
+    (b'{"vertices": ' + b"7" * 5000 + b"}", "error: integer too long"),
+], ids=["not-utf8", "too-deep", "too-many-digits"])
 def test_unreadable_json(verb, content, message, tmp_path, capsys):
-    """Bytes that are not UTF-8 and nesting too deep for the parser exit 1
-    with a message, like any other malformed JSON."""
+    """Bytes that are not UTF-8, nesting too deep for the parser and an
+    integer past the interpreter's digit limit exit 1 with a message, like
+    any other malformed JSON, from every verb that reads a file."""
     f = tmp_path / "bad.json"
     f.write_bytes(content)
     assert main(verb + [str(f)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
 
 
 def test_python_m_chainmail_runs_main(capsys):

@@ -6,12 +6,14 @@ import itertools
 import pytest
 
 import oracles
+from chainmail import config, enumeration
+from chainmail.enumeration import EnumerationTask
 from chainmail.errors import (
     AxiomViolation,
     SizeBudgetExceeded,
 )
 from chainmail.lattice import connected_elements, is_locally_connected
-from chainmail.mails import join_of_mail_connected
+from chainmail.mails import as_chainmail, join_of_mail_connected
 from chainmail.poset import is_isomorphic, validate_poset
 from chainmail.sources import (
     ConnectivitySpace,
@@ -319,8 +321,6 @@ def test_path_is_representable():
 
 
 def test_antichain_needs_two_points():
-    from chainmail.mails import as_chainmail
-
     g = as_chainmail(validate_poset(2, []))
     space = search_connectivity_representation(g, 4)
     assert space is not None
@@ -329,6 +329,65 @@ def test_antichain_needs_two_points():
 
 def test_counterexample_is_not_representable(counterexample):
     assert search_connectivity_representation(counterexample, 5) is None
+
+
+def test_counterexample_has_no_representation_at_all(counterexample):
+    """Deepening stops by itself, so a bound of a million points is a
+    proof that no connectivity space of any size realizes it."""
+    assert search_connectivity_representation(counterexample, 10**6) is None
+
+
+# least points per chainmail, None for no space, at K = n
+_LEAST_POINTS = {
+    1: {1: 1},
+    2: {2: 2},
+    3: {2: 1, 3: 3},
+    4: {3: 5, 4: 5},
+    5: {3: 4, 4: 17, 5: 7},
+    6: {3: 2, 4: 36, 5: 50, 6: 11},
+    7: {3: 1, 4: 55, 5: 216, 6: 135, 7: 15, None: 8},
+}
+
+
+def test_least_point_tallies():
+    """Every chainmail with n <= 7; the eight with no space on 7 points
+    have none on any number of points."""
+    tallies = {n: {} for n in _LEAST_POINTS}
+    for p in enumeration._passing(EnumerationTask(7, "chainmails")):
+        g = as_chainmail(p)
+        space = search_connectivity_representation(g, g.n)
+        points = None if space is None else space.points
+        tallies[g.n][points] = tallies[g.n].get(points, 0) + 1
+        if space is None:
+            assert search_connectivity_representation(g, 10**6) is None
+        else:
+            back = chainmail_from_connectivity_space(space, budget=g.n)
+            assert is_isomorphic(back.poset, g.poset)
+    assert tallies == _LEAST_POINTS
+
+
+@pytest.mark.parametrize("covers", [[], [(i, i + 1) for i in range(23)]],
+                         ids=["antichain", "chain"])
+def test_twenty_four_elements_need_twenty_four_points(covers):
+    g = as_chainmail(validate_poset(24, covers))
+    space = search_connectivity_representation(g, 10**6)
+    assert space.points == 24
+    back = chainmail_from_connectivity_space(space, budget=24)
+    assert is_isomorphic(back.poset, g.poset)
+
+
+def test_least_points_match_brute_force(small_chainmails):
+    """Every chainmail with n <= 4 against injective point-set assignments
+    tried straight from the definition."""
+    checked = 0
+    for g in small_chainmails:
+        if g.n > 4:
+            continue
+        space = search_connectivity_representation(g, g.n)
+        want = oracles.least_representation_points(g.n, g.poset.above, g.n)
+        assert (None if space is None else space.points) == want
+        checked += 1
+    assert checked == 17
 
 
 def test_small_chainmails_found_spaces_verify(small_chainmails):
@@ -348,15 +407,23 @@ def test_small_chainmails_found_spaces_verify(small_chainmails):
 
 
 def test_search_budget():
+    """The point bound has no cap: nine points are searched."""
     point = chainmail_from_graph(Graph(1, []))
+    assert search_connectivity_representation(point, 9).points == 1
+
+
+def test_candidate_up_sets_are_capped(monkeypatch):
+    """The search's candidate up-sets are bounded by the family cap: B2
+    has five nonempty up-sets, and the empty one is counted too."""
+    g = as_chainmail(powerset_lattice(2).poset)
+    monkeypatch.setattr(config, "DEFAULT_FAMILY_CAP", 5)
     with pytest.raises(SizeBudgetExceeded):
-        search_connectivity_representation(point, 9)
-    assert search_connectivity_representation(point, 9, budget=9) is not None
+        search_connectivity_representation(g, 4)
+    monkeypatch.setattr(config, "DEFAULT_FAMILY_CAP", 6)
+    assert search_connectivity_representation(g, 4).points == 3
 
 
 def test_search_empty_chainmail():
-    from chainmail.mails import as_chainmail
-
     space = search_connectivity_representation(
         as_chainmail(validate_poset(0, [])), 2)
     assert space == ConnectivitySpace(0, [()])
