@@ -39,25 +39,41 @@ def refine_colors(n, above, below):
     """Stable coloring refined from one class by strict up/down neighborhoods.
 
     Color values are ranks of isomorphism-invariant keys, so corresponding
-    elements of isomorphic structures always receive equal colors.
+    elements of isomorphic structures always receive equal colors.  The
+    first round ranks (strict down-set size, strict up-set size); each
+    later one ranks (color, sorted colors strictly below, sorted colors
+    strictly above), so it only splits classes.  A singleton class cannot
+    split, so its key is its color alone.  Refinement stops once a round
+    splits nothing or every class is a singleton.
     """
-    sbl = [list(iter_bits(below[i] & ~(1 << i))) for i in range(n)]
-    sab = [list(iter_bits(above[i] & ~(1 << i))) for i in range(n)]
-    cur = [0] * n
-    ncls = 1
+    sizes = [(below[i].bit_count(), above[i].bit_count()) for i in range(n)]
+    rank = {k: r for r, k in enumerate(sorted(set(sizes)))}
+    cur = [rank[k] for k in sizes]
+    ncls = len(rank)
+    if ncls == 1 or ncls == n:
+        return cur
+    sab = [[] for _ in range(n)]
+    sbl = [[] for _ in range(n)]
+    for i in range(n):
+        row = above[i] ^ (1 << i)
+        up = sab[i]
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            up.append(j)
+            sbl[j].append(i)
+            row ^= low
     while True:
+        count = [0] * ncls
+        for c in cur:
+            count[c] += 1
         color = cur.__getitem__
-        keys = [
-            (
-                cur[i],
-                tuple(sorted(map(color, sbl[i]))),
-                tuple(sorted(map(color, sab[i]))),
-            )
-            for i in range(n)
-        ]
+        keys = [(c, tuple(sorted(map(color, sbl[i]))),
+                 tuple(sorted(map(color, sab[i])))) if count[c] > 1 else (c,)
+                for i, c in enumerate(cur)]
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
         cur = [rank[k] for k in keys]
-        if len(rank) == ncls:
+        if len(rank) == ncls or len(rank) == n:
             return cur
         ncls = len(rank)
 
@@ -75,9 +91,10 @@ def _swap_masks(n, above, below):
     return swap
 
 
-def canonical_labeling(above, below):
+def canonical_labeling(above, below, colors=None):
     """Return ``(code, perm, automorphisms)`` canonicalizing ``above``,
-    whose transpose is ``below``.
+    whose transpose is ``below``; ``colors``, when given, is
+    ``refine_colors(n, above, below)`` already computed.
 
     ``perm[old]`` is the canonical position of element ``old``; the code is
     the relation matrix of the relabeled poset, minimized over all labelings
@@ -94,7 +111,7 @@ def canonical_labeling(above, below):
         return b"\x00\x00", (), ()
     if n > 255:  # the code's header holds n in one byte
         raise SizeBudgetExceeded("canonical form", n, 255)
-    refined = refine_colors(n, above, below)
+    refined = refine_colors(n, above, below) if colors is None else colors
     swap = _swap_masks(n, above, below)
 
     by_color = {}

@@ -14,7 +14,7 @@ from .errors import ChainmailError
 
 DEFAULT_POSET_CAP = 24        # validated input posets
 DEFAULT_FAMILY_CAP = 1 << 16  # materialized set families (td sets, separated sets)
-DEFAULT_ENUM_CAP = 11         # exhaustive generation
+DEFAULT_ENUM_CAP = 12         # exhaustive generation
 DEFAULT_GROUND_CAP = 5        # ground sets of graphs, topologies, spaces
 
 

@@ -13,8 +13,13 @@ Most children are decided without a labeling, cheap invariant first
 maximal element has the largest strict down-set among the maximal
 elements, so a new element whose down-set is smaller than that of a
 maximal element it leaves maximal is rejected before the child is
-built, and one larger than all of theirs is kept unlabeled.  Only ties
-are labeled to decide them.
+built, and one larger than all of theirs is kept unlabeled.  A tie is
+decided from the child's refined colors when the new element's color
+is below the top class of maximal elements, alone in it, or shares it
+only with twins; only the remaining ties are labeled.  The walk hands
+each child accepted unlabeled its automorphism group, by Schreier's
+lemma from the parent's (Seress, Permutation Group Algorithms, 2003),
+so no parent is labeled for its group.
 
 The chainmail filters walk a pruned tree.  Call a poset
 *top-completable* when every 2-element mail that has an upper bound has
@@ -48,10 +53,9 @@ import json
 import os
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import get_all_start_methods, get_context
 
 from . import config
-from .canonical import canonical_maximal_position, iter_bits
+from .canonical import canonical_maximal_position, iter_bits, refine_colors
 from .errors import AxiomViolation, NotAChainmail, SizeBudgetExceeded
 from .mails import as_chainmail, iter_td_masks
 from .poset import Poset, _down_closed_masks, to_dot
@@ -95,24 +99,28 @@ def _check_size(n, budget):
 
 
 def _orbit(gens, mask):
-    """Every image of the element set ``mask`` under the group ``gens`` span."""
-    orbit = {mask}
+    """Every image of the element set ``mask`` under the group ``gens``
+    span, as a Schreier tree: each image maps to ``(x, g)``, an image met
+    before it and a generator taking x to it; ``mask`` maps to None."""
+    orbit = {mask: None}
     stack = [mask]
     while stack:
-        bits = list(iter_bits(stack.pop()))
+        x = stack.pop()
+        bits = list(iter_bits(x))
         for g in gens:
             image = 0
             for i in bits:
                 image |= 1 << g[i]
             if image not in orbit:
-                orbit.add(image)
+                orbit[image] = (x, g)
                 stack.append(image)
     return orbit
 
 
 def _downset_orbit_reps(p, keep=None):
-    """The least down-closed subset of each automorphism orbit, ascending;
-    with ``keep``, an automorphism-invariant test, only orbits it passes.
+    """The least down-closed subset of each automorphism orbit, ascending,
+    each as ``(mask, its orbit by _orbit)``; with ``keep``, an
+    automorphism-invariant test, only orbits it passes.
 
     Orbits are closed under the generators :meth:`Poset.automorphisms`
     returns, acting on bits; no labeling beyond the parent's own is run.
@@ -122,9 +130,55 @@ def _downset_orbit_reps(p, keep=None):
     seen = set()
     for mask in _down_closed_masks(p):
         if mask not in seen and (keep is None or keep(mask)):
-            reps.append(mask)
-            seen |= _orbit(gens, mask)
+            orbit = _orbit(gens, mask)
+            reps.append((mask, orbit))
+            seen.update(orbit)
     return reps
+
+
+def _stabilizer(p, orbit):
+    """Generators of the automorphism group of the child of ``p`` over the
+    root D of ``orbit``, for a child whose new element z = p.n is fixed by
+    every automorphism or swapped only with twins, maximal elements whose
+    strict down-set is D (see :func:`_children`).
+
+    Schreier's lemma: with t_x in ``p``'s group taking D to x, read off the
+    Schreier tree, the stabilizer of D is generated by the t_{g x}^-1 g t_x
+    over the orbit's x and the generators g.  Each is extended by z -> z,
+    and one swap of z with a twin, if there is one, is added.
+    """
+    n = p.n
+    gens = p.automorphisms()
+    ident = tuple(range(n))
+    trans = {}
+    inverse = {}
+    for x, edge in orbit.items():
+        t = ident if edge is None else tuple(map(edge[1].__getitem__,
+                                                 trans[edge[0]]))
+        trans[x] = t
+        u = [0] * n
+        for i, j in enumerate(t):
+            u[j] = i
+        inverse[x] = u
+    found = {}
+    for x, t in trans.items():
+        bits = list(iter_bits(x))
+        for g in gens:
+            y = 0
+            for i in bits:
+                y |= 1 << g[i]
+            s = tuple(map(inverse[y].__getitem__, map(g.__getitem__, t)))
+            if s != ident:
+                found[s] = None
+    out = [s + (n,) for s in found]
+    dmask = next(iter(orbit))
+    for m in range(n):
+        if p.below[m] ^ 1 << m == dmask and p.above[m] == 1 << m:
+            swap = list(range(n + 1))
+            swap[m], swap[n] = n, m
+            out.append(tuple(swap))
+            break
+    return tuple(out)
 
 
 def _top_joins(p):
@@ -193,26 +247,28 @@ def _child_joins(p, joins, dmask):
     return tuple(child_free), tuple(child_joined)
 
 
-def _extend(p, dmask):
+def _extend(p, dmask, automorphisms=None):
     """Add a new maximal element above exactly the down-closed ``dmask``."""
     bit = 1 << p.n
     above = [row | bit if (dmask >> i) & 1 else row
              for i, row in enumerate(p.above)]
     above.append(bit)
-    return Poset(above, below=p.below + (dmask | bit,))
+    return Poset(above, below=p.below + (dmask | bit,),
+                 automorphisms=automorphisms)
 
 
-def _accepted(child):
+def _accepted(child, colors=None):
     """Keep the child only if the new element is canonically removable.
 
     The new element sits at the last index and is maximal; it survives
     when it lies in the same automorphism orbit as the element occupying
     the canonically distinguished maximal position, which the code of
     the child determines without reference to labels.  The orbit is
-    closed under the generators from the child's one labeling.
+    closed under the generators from the child's one labeling, which
+    takes the child's refined ``colors`` when they are at hand.
     """
     n = child.n
-    code, perm = child.canonical()
+    code, perm = child.canonical(colors)
     pos = canonical_maximal_position(n, child.above, perm)
     z = n - 1
     if perm[z] == pos:
@@ -227,24 +283,57 @@ def _children(p, joins=None):
     the children that stay top-completable; without one, every child,
     with None.
 
-    Refinement first ranks elements by (strict down-set size, strict
-    up-set size) and later only splits ranks.  So a new element ranked
-    below a maximal element it leaves maximal never shares that one's
-    color, and one ranked above them all (above ``need``) is alone in its
-    class, at the canonical maximal position.
+    Let z be the new element over the down-set D, of size d, and ``need``
+    the largest strict down-set size of a maximal element z leaves
+    maximal.  Refinement first ranks elements by (strict down-set size,
+    strict up-set size) and later only splits ranks, and canonical
+    positions run through the color classes in color order.  So the
+    distinguished element w lies in T, the highest color class holding a
+    maximal element, and T holds only maximal elements (an element below
+    a maximal one has the smaller down-set).  If d < need, z ranks below
+    T: rejected.  If d > need, T = {z}: accepted.  A tie, d == need, is
+    refined once and decided by the first rule that applies:
+
+    1. z's color is below T's: automorphisms keep colors, so z is not in
+       the orbit of w; rejected.
+    2. T = {z}: w = z; accepted.
+    3. Every other member of T is a twin of z, a maximal element whose
+       strict down-set is D: swapping z with a twin is an automorphism,
+       so w is in z's orbit; accepted.
+    4. Otherwise :func:`_accepted` labels the child, from those colors.
+
+    A child accepted unlabeled takes its group from the walk, computed
+    when first asked (:func:`_stabilizer`).  Automorphisms keep colors,
+    so they map z into T, that is, to z or a twin m, and (z m) times
+    such a map fixes z.  An automorphism fixing z fixes D, its strict
+    down-set, and restricts to one of ``p``; each of those fixing D
+    extends by z -> z.  So the group is generated by the stabilizer of D
+    in Aut(p) and, if there are twins, one swap (z m): two twins m, m'
+    are twins in ``p`` as well, so (m m') lies in the stabilizer and
+    (z m') = (m m')(z m)(m m').  Under rule 4 the labeling gives the
+    group.
     """
     maximal = [m for m in range(p.n) if p.above[m] == 1 << m]
     keep = None if joins is None else partial(_join_closed, joins[1])
-    for dmask in _downset_orbit_reps(p, keep):
-        need = max((p.below[m].bit_count() for m in maximal
-                    if not (dmask >> m) & 1), default=0) - 1
+    z = p.n
+    for dmask, orbit in _downset_orbit_reps(p, keep):
+        others = [m for m in maximal if not (dmask >> m) & 1]
+        need = max((p.below[m].bit_count() for m in others), default=0) - 1
         d = dmask.bit_count()
         if d < need:
             continue
-        child = _extend(p, dmask)
-        if d > need or _accepted(child):
-            yield child, (None if joins is None
-                          else _child_joins(p, joins, dmask))
+        child = _extend(p, dmask, partial(_stabilizer, p, orbit))
+        if d == need:
+            colors = refine_colors(z + 1, child.above, child.below)
+            top = max(colors[m] for m in others)
+            if colors[z] < top:
+                continue
+            tied = [m for m in others if colors[m] == colors[z]]
+            if any(p.below[m] != dmask | 1 << m for m in tied) \
+                    and not _accepted(child, colors):
+                continue
+        yield child, (None if joins is None
+                      else _child_joins(p, joins, dmask))
 
 
 def _walk(p, n, joins=None):
@@ -340,7 +429,9 @@ def _count_subtrees(args):
 
 
 def _pool_context():
-    """Fork where the platform has it, so workers start from this process."""
+    """Fork where the platform has it, so workers start from this process.
+    Imported here: most runs start no pool."""
+    from multiprocessing import get_all_start_methods, get_context
     if "fork" in get_all_start_methods():
         return get_context("fork")
     return get_context()

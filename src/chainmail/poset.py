@@ -104,13 +104,16 @@ class Poset:
     The constructor trusts its argument: ``above`` must already be a valid
     reflexive-transitive up-set table, and ``below``, when given, its
     transpose.  Use :func:`validate_poset` for anything that arrives from
-    outside the package.
+    outside the package.  ``automorphisms``, when given, is a callable
+    with no arguments that returns generators of the automorphism group;
+    :meth:`automorphisms` calls it once instead of labeling.
     """
 
     __slots__ = ("n", "above", "below", "labels", "_code", "_perm", "_autos",
                  "_lower_covers")
 
-    def __init__(self, above, labels=None, below=None):
+    def __init__(self, above, labels=None, below=None,
+                 automorphisms=None):
         self.n = len(above)
         self.above = tuple(above)
         self.below = tuple(transpose(self.n, above) if below is None
@@ -124,7 +127,7 @@ class Poset:
         self.labels = labels
         self._code = None
         self._perm = None
-        self._autos = None
+        self._autos = automorphisms
         self._lower_covers = None
 
     def __repr__(self):
@@ -234,20 +237,24 @@ class Poset:
                 labels[perm[i]] = self.labels[i]
         return Poset(above, labels)
 
-    def canonical(self):
-        """(code, perm) where perm maps old index -> canonical position."""
+    def canonical(self, colors=None):
+        """(code, perm) where perm maps old index -> canonical position;
+        ``colors``, when given, are this poset's refined colors."""
         if self._code is None:
             self._code, self._perm, self._autos = canonical_labeling(
-                self.above, self.below)
+                self.above, self.below, colors)
         return self._code, self._perm
 
     def automorphisms(self):
         """Generators of the automorphism group; ``g[i]`` is the image of i.
 
-        They come from the same search as :meth:`canonical`, and are cached
-        with its result.
+        They come from the constructor's callable, called once, or else
+        from the same search as :meth:`canonical`, cached with its result.
         """
-        self.canonical()
+        if self._autos is None:
+            self.canonical()
+        elif callable(self._autos):
+            self._autos = self._autos()
         return self._autos
 
 

@@ -96,6 +96,32 @@ def automorphisms(n, rows):
     return out
 
 
+def refine_colors_reference(n, above, below):
+    """The canonical labeling's color refinement, the plain way: every round,
+    from one class, ranks each element's (color, sorted colors strictly
+    below, sorted colors strictly above) until no class splits."""
+    sbl = [[j for j in range(n) if j != i and (below[i] >> j) & 1]
+           for i in range(n)]
+    sab = [[j for j in range(n) if j != i and (above[i] >> j) & 1]
+           for i in range(n)]
+    cur = [0] * n
+    ncls = 1
+    while True:
+        keys = [
+            (
+                cur[i],
+                tuple(sorted(cur[j] for j in sbl[i])),
+                tuple(sorted(cur[j] for j in sab[i])),
+            )
+            for i in range(n)
+        ]
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        cur = [rank[k] for k in keys]
+        if len(rank) == ncls:
+            return cur
+        ncls = len(rank)
+
+
 def unlabeled_poset_codes(n):
     return {min_perm_code(n, rows) for rows in labeled_posets(n)}
 

@@ -1,12 +1,14 @@
 """Isomorph-free enumeration: counts, filters, catalogs, determinism."""
 
+import hashlib
 import json
+import multiprocessing
 
 import pytest
 
 import oracles
 from chainmail import enumeration
-from chainmail.canonical import canonical_maximal_position
+from chainmail.canonical import canonical_maximal_position, refine_colors
 from chainmail.enumeration import (
     FILTERS,
     EnumerationTask,
@@ -185,7 +187,7 @@ def test_pool_workers_are_capped(monkeypatch):
     class Context:
         Pool = SerialPool
 
-    monkeypatch.setattr(enumeration, "get_context",
+    monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: Context())
     for flt, size, seeds in (("all-posets", 6, 63),
                              ("mail-connected-chainmails", 7, 62)):
@@ -215,7 +217,7 @@ def test_task_validation():
 
 def test_size_budget():
     with pytest.raises(SizeBudgetExceeded):
-        next(enumerate_posets(12))
+        next(enumerate_posets(13))
     with pytest.raises(SizeBudgetExceeded):
         count_chainmails(EnumerationTask(3), budget=2)
     assert count_chainmails(EnumerationTask(3), budget=3)[3] == 5
@@ -334,13 +336,22 @@ def test_automorphism_generators_match_oracle():
 
 
 def test_downset_orbit_reps_match_oracle():
-    """One down-set per brute-force orbit, the least one, ascending."""
+    """One down-set per brute-force orbit, the least one, ascending, each
+    with its whole orbit as a Schreier tree: every edge ``(x, g)`` has a
+    generator g taking x to the image."""
     for p in enumeration.posets_up_to(6):
         group = oracles.automorphisms(p.n, p.above)
         least = {min(_image(g, m) for g in group)
                  for m in oracles.downset_masks(p.n, p.above)}
         reps = enumeration._downset_orbit_reps(p)
-        assert reps == sorted(least)
+        assert [d for d, _ in reps] == sorted(least)
+        for d, orbit in reps:
+            assert set(orbit) == {_image(g, d) for g in group}
+            assert orbit[d] is None
+            for image, edge in orbit.items():
+                if image != d:
+                    x, g = edge
+                    assert g in p.automorphisms() and _image(g, x) == image
 
 
 def test_acceptance_matches_oracle_orbit():
@@ -348,7 +359,7 @@ def test_acceptance_matches_oracle_orbit():
     maps its canonically distinguished maximal element to the new one."""
     kept = 0
     for p in enumeration.posets_up_to(5):
-        for dmask in enumeration._downset_orbit_reps(p):
+        for dmask, _ in enumeration._downset_orbit_reps(p):
             child = enumeration._extend(p, dmask)
             n = child.n
             perm = child.canonical()[1]
@@ -362,23 +373,26 @@ def test_acceptance_matches_oracle_orbit():
 
 def test_shortcuts_agree_with_acceptance(monkeypatch):
     """Every orbit-representative child of every poset up to size 6: a
-    child the down-set size test rejects is never kept by ``_accepted``,
-    and a child it accepts unlabeled is always kept."""
+    child the down-set size test or tie rule 1 rejects is never kept by
+    ``_accepted``, and a child accepted unlabeled (a larger down-set, or
+    tie rules 2 and 3) is always kept.  The ties left to ``_accepted``
+    arrive with the child's refined colors."""
     parents = enumeration.posets_up_to(6)
     accepted = enumeration._accepted
     asked = set()
 
-    def recording(child):
+    def recording(child, colors=None):
+        assert colors == refine_colors(child.n, child.above, child.below)
         asked.add(child.above)
-        return accepted(child)
+        return accepted(child, colors)
 
     monkeypatch.setattr(enumeration, "_accepted", recording)
-    rejected = unlabeled = 0
+    rejected = unlabeled = labeled = 0
     for p in parents:
         asked.clear()
         got = [c.above for c, _ in enumeration._children(p)]
         kids = [enumeration._extend(p, d)
-                for d in enumeration._downset_orbit_reps(p)]
+                for d, _ in enumeration._downset_orbit_reps(p)]
         assert got == [c.above for c in kids if accepted(c)]
         for c in kids:
             if c.above not in asked:
@@ -386,4 +400,50 @@ def test_shortcuts_agree_with_acceptance(monkeypatch):
                 assert accepted(c) == kept
                 unlabeled += kept
                 rejected += not kept
-    assert (rejected, unlabeled) == (2235, 1803)
+        labeled += len(asked)
+    assert (rejected, unlabeled) == (2420, 2348)
+    assert labeled == 101
+
+
+def test_carried_generators_match_oracle(monkeypatch):
+    """At every node of the census tree and of the walk of all posets up
+    to size 7, the generators the walk hands down (or the labeling gave)
+    generate exactly the brute-force automorphism group.  Among the
+    nodes are children whose new element has twins (tie rule 3), whose
+    group needs the added swap."""
+    stabilizer = enumeration._stabilizer
+    swapped = []
+
+    def recording(p, orbit):
+        gens = stabilizer(p, orbit)
+        swapped.append(any(g[p.n] != p.n for g in gens))
+        return gens
+
+    monkeypatch.setattr(enumeration, "_stabilizer", recording)
+    for which in ("mail-connected-chainmails", "all-posets"):
+        swapped.clear()
+        root, joins, _ = enumeration._tree(which, 8)
+        for p, _ in enumeration._walk(root, 7, joins):
+            assert _closure(p.n, p.automorphisms()) \
+                == set(oracles.automorphisms(p.n, p.above))
+        assert (len(swapped), sum(swapped)) == {
+            "mail-connected-chainmails": (2135, 305),
+            "all-posets": (2348, 406)}[which]
+
+
+def _walk_digest(posets):
+    h = hashlib.sha256()
+    for p in posets:
+        h.update(",".join(map(str, p.above)).encode() + b";")
+    return h.hexdigest()
+
+
+def test_walk_order_is_pinned():
+    """The representatives and their order, as ``above`` rows, of the walk
+    of all posets to size 7 and of the census to size 8, hashed."""
+    assert _walk_digest(enumeration.posets_up_to(7)) == (
+        "8a43e131b9b156f9ba4844316db4a283de5060d13da9f51c22881c311250603f")
+    census = enumeration._passing(
+        EnumerationTask(8, "mail-connected-chainmails"))
+    assert _walk_digest(census) == (
+        "c92bd9ddf302cd7fb4876774f1124b76bd1a958f7ae4667c894ce47c15fb1ba2")

@@ -1,9 +1,12 @@
 """Poset substrate: validation, order queries, canonical forms, interchange."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from chainmail.canonical import canonical_labeling, refine_colors
 from chainmail.enumeration import posets_up_to
 from chainmail.errors import (
     AxiomViolation,
@@ -214,6 +217,50 @@ def test_down_closed_masks_match_brute_force():
     for p in posets_up_to(6):
         for q in (p, p.relabel([p.n - 1 - i for i in range(p.n)])):
             assert _down_closed_masks(q) == oracles.downset_masks(q.n, q.above)
+
+
+def _both_labelings(n):
+    """Every poset up to size n, as walked and with its indices reversed."""
+    for p in posets_up_to(n):
+        yield p
+        yield p.relabel([p.n - 1 - i for i in range(p.n)])
+
+
+def _random_posets(count, seed):
+    """Seeded random posets up to size 24: sparse and dense ones, and
+    disjoint unions of copies of one, whose symmetric classes take several
+    rounds to split."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 24)
+        density = rng.choice((0.05, 0.1, 0.2, 0.4))
+        yield validate_poset(n, [(i, j) for i in range(n)
+                                 for j in range(i + 1, n)
+                                 if rng.random() < density])
+        k = rng.randint(1, 6)
+        part = [(i, j) for i in range(k) for j in range(i + 1, k)
+                if rng.random() < 0.4]
+        copies = rng.randint(1, 24 // k)
+        yield validate_poset(k * copies, [
+            (c * k + i, c * k + j) for c in range(copies) for i, j in part])
+
+
+def test_refine_colors_matches_reference():
+    """The refinement kernel gives exactly the colors of the plain
+    reference on every poset up to size 7 and on random ones up to 24."""
+    for p in (*_both_labelings(7), *_random_posets(300, 1998)):
+        assert refine_colors(p.n, p.above, p.below) \
+            == oracles.refine_colors_reference(p.n, p.above, p.below)
+
+
+def test_canonical_labeling_takes_precomputed_colors():
+    """Handing the refined colors to the labeling changes nothing.  (The
+    labeling backtracks over each color class, so the random posets,
+    whose copies of one component are not twins, would take too long.)"""
+    for p in _both_labelings(7):
+        colors = refine_colors(p.n, p.above, p.below)
+        assert canonical_labeling(p.above, p.below, colors) \
+            == canonical_labeling(p.above, p.below)
 
 
 # -- property tests ------------------------------------------------------------------
