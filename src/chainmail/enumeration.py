@@ -49,7 +49,6 @@ the recursion: in the child the pairs inside D that had no upper bound
 get the new element as their join, and nothing else changes.
 """
 
-import json
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -490,6 +489,7 @@ def emit_catalog(task, out_dir, budget=None):
     canonical code), so a rerun reproduces the same tree byte for byte.
     Returns the entries in file order.
     """
+    import json  # imported here: most runs write no catalog
     _check_size(task.size, budget)
     found = sorted(_passing(task),
                    key=lambda p: (p.n, p.canonical()[0].hex()))

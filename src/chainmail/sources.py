@@ -49,7 +49,22 @@ def _inclusion_poset(masks, names=None):
 
 # -- ground structures --------------------------------------------------------
 
-class Graph:
+class _Ground:
+    """Equal, and hashed alike, by the values of the class's slots."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Graph(_Ground):
     """A finite simple graph; loops are dropped, duplicate edges merged."""
 
     __slots__ = ("vertices", "edges")
@@ -73,14 +88,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(vertices={self.vertices}, edges={list(self.edges)})"
 
-    def __eq__(self, other):
-        return (isinstance(other, Graph)
-                and self.vertices == other.vertices
-                and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
     def adjacency(self):
         adj = [0] * self.vertices
         for a, b in self.edges:
@@ -89,7 +96,7 @@ class Graph:
         return adj
 
 
-class Hypergraph:
+class Hypergraph(_Ground):
     """A finite hypergraph: a vertex set and a set of nonempty hyperedges."""
 
     __slots__ = ("vertices", "hyperedges")
@@ -111,20 +118,12 @@ class Hypergraph:
         return (f"Hypergraph(vertices={self.vertices}, "
                 f"hyperedges={[list(e) for e in self.hyperedges]})")
 
-    def __eq__(self, other):
-        return (isinstance(other, Hypergraph)
-                and self.vertices == other.vertices
-                and self.hyperedges == other.hyperedges)
-
-    def __hash__(self):
-        return hash((self.vertices, self.hyperedges))
-
     def edge_masks(self):
         return [_mask_of_members(e, self.vertices, "hyperedge-range")
                 for e in self.hyperedges]
 
 
-class FiniteTopology:
+class FiniteTopology(_Ground):
     """A topology on a finite point set, given by its family of open sets.
 
     Validation checks that the family contains the empty and the full
@@ -164,20 +163,12 @@ class FiniteTopology:
         return (f"FiniteTopology(points={self.points}, "
                 f"opens={[list(o) for o in self.opens]})")
 
-    def __eq__(self, other):
-        return (isinstance(other, FiniteTopology)
-                and self.points == other.points
-                and self.opens == other.opens)
-
-    def __hash__(self):
-        return hash((self.points, self.opens))
-
     def open_masks(self):
         return [_mask_of_members(o, self.points, "open-range")
                 for o in self.opens]
 
 
-class ConnectivitySpace:
+class ConnectivitySpace(_Ground):
     """A point set with a family of subsets declared connected.
 
     The family must contain the empty set, and the union of any
@@ -213,14 +204,6 @@ class ConnectivitySpace:
     def __repr__(self):
         return (f"ConnectivitySpace(points={self.points}, "
                 f"connected={[list(c) for c in self.connected]})")
-
-    def __eq__(self, other):
-        return (isinstance(other, ConnectivitySpace)
-                and self.points == other.points
-                and self.connected == other.connected)
-
-    def __hash__(self):
-        return hash((self.points, self.connected))
 
     def member_masks(self):
         return [_mask_of_members(c, self.points, "member-range")

@@ -372,3 +372,17 @@ def test_python_m_chainmail_runs_main(capsys):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == want
+
+
+def test_import_loads_neither_json_nor_multiprocessing():
+    """``import chainmail`` leaves json and multiprocessing unloaded: the
+    catalog writer and the worker pool import them when they run, so a
+    bare import pays for neither."""
+    src = str(Path(chainmail.__file__).resolve().parent.parent)
+    probe = ("import sys, chainmail; print(sorted({'json', "
+             "'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -245,6 +245,28 @@ def test_graph_space_agreement():
         assert direct.poset == via_space.poset
 
 
+# -- equality of the ground structures ---------------------------------------------
+
+@pytest.mark.parametrize("cls, args, other", [
+    (Graph, (3, [(0, 1)]), (3, [(1, 2)])),
+    (Hypergraph, (3, [(0, 1)]), (3, [(0, 1, 2)])),
+    (FiniteTopology, (2, [(), (0,), (0, 1)]), (2, [(), (0, 1)])),
+    (ConnectivitySpace, (2, [(), (0,), (1,)]), (2, [(), (0,)])),
+])
+def test_ground_structures_compare_by_value(cls, args, other):
+    """Equal fields make equal structures with the hash of the fields'
+    tuple; a graph and a hypergraph with the same fields differ."""
+    a, b = cls(*args), cls(*args)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash(tuple(
+        getattr(a, name) for name in cls.__slots__))
+    assert a != cls(*other)
+    twin = {Graph: Hypergraph, Hypergraph: Graph}.get(cls)
+    if twin is not None:
+        assert hash(a) == hash(twin(*args))
+        assert a != twin(*args) and twin(*args) != a
+
+
 # -- stock lattices ----------------------------------------------------------------
 
 def test_powerset_sizes():

@@ -5,7 +5,13 @@ import dataclasses
 import pytest
 
 from chainmail import category, lattice, verify
-from chainmail.verify import SUITES, SuiteReport, run_suite
+from chainmail.errors import TheoremViolation
+from chainmail.lattice import as_complete_lattice
+from chainmail.mails import as_chainmail
+from chainmail.poset import validate_poset
+from chainmail.sources import powerset_lattice
+from chainmail.verify import (SUITES, SuiteReport, check_adjunction_bijection,
+                              run_suite)
 
 
 def test_suite_names():
@@ -139,3 +145,66 @@ def test_transpose_mutation_is_caught(monkeypatch, name):
     assert not report.ok()
     assert any(v["law"].startswith("hom bijection (")
                for v in report.violations)
+
+
+def _change_weak_homs(monkeypatch, change):
+    """Pass the weak hom list D(g) -> lat, and the constant table onto the
+    top of lat, through ``change``; the strict reading is left alone."""
+    real = category.connectivity_hom_tables
+
+    def fake(l1, l2, weak=False):
+        homs = list(real(l1, l2, weak=weak))
+        return change(homs, (l2.top,) * l1.n) if weak else homs
+
+    monkeypatch.setattr(category, "connectivity_hom_tables", fake)
+
+
+def _append_new(homs, extra):
+    return homs if extra in homs else homs + [extra]
+
+
+POINT = as_chainmail(validate_poset(1, []))
+
+
+def test_transpose_outside_the_homs_is_caught(monkeypatch):
+    """A weak hom list with one transpose swapped for a non-hom keeps its
+    size, so only the membership test can catch it."""
+    _change_weak_homs(monkeypatch, lambda homs, extra: homs[:-1] + [extra])
+    b2 = powerset_lattice(2)
+    assert check_adjunction_bijection(POINT, b2) == 2
+    with pytest.raises(TheoremViolation) as e:
+        check_adjunction_bijection(POINT, b2, weak=True)
+    assert e.value.law == "transpose-not-a-hom"
+
+
+def test_hom_no_transpose_reaches_is_caught(monkeypatch):
+    """An extra weak hom is the witness that transposing is not onto.
+    From the empty chainmail to the one-element lattice the constant
+    table is already the only hom, so nothing is added there."""
+    _change_weak_homs(monkeypatch, _append_new)
+    b2 = powerset_lattice(2)
+    assert check_adjunction_bijection(POINT, b2) == 2
+    with pytest.raises(TheoremViolation) as e:
+        check_adjunction_bijection(POINT, b2, weak=True)
+    assert (e.value.law, e.value.witness) == \
+        ("transpose-not-onto", (b2.top, b2.top))
+    empty = as_chainmail(validate_poset(0, []))
+    one = as_complete_lattice(validate_poset(1, []))
+    assert check_adjunction_bijection(empty, one, weak=True) == 1
+
+
+def test_repeated_hom_is_caught(monkeypatch):
+    """A hom listed twice leaves no hom unreached; the witness is the two
+    sizes."""
+    _change_weak_homs(monkeypatch, lambda homs, extra: homs + homs[:1])
+    with pytest.raises(TheoremViolation) as e:
+        check_adjunction_bijection(POINT, powerset_lattice(2), weak=True)
+    assert (e.value.law, e.value.witness) == ("transpose-not-onto", (2, 3))
+
+
+def test_suite_checks_the_weak_reading(monkeypatch):
+    """The suite's one pass of transposes serves the weak reading too."""
+    _change_weak_homs(monkeypatch, _append_new)
+    report = run_suite("adjunction", 2)
+    assert "hom bijection (transpose-not-onto)" in \
+        {v["law"] for v in report.violations}
