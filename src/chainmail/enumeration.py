@@ -409,8 +409,8 @@ def _structure(p, which):
 
 
 def _count_subtrees(args):
-    """Pool worker: the structures of one seed's proper descendants, as
-    rows, or with ``tally`` as a count per size."""
+    """The structures of one seed's proper descendants, as rows, or with
+    ``tally`` as a count per size: one seed's work in :func:`_drain`."""
     rows, size, which, tally = args
     seed = Poset(rows)
     depth = _tree(which, size)[2]
@@ -427,13 +427,17 @@ def _count_subtrees(args):
     return counts
 
 
-def _pool_context():
-    """Fork where the platform has it, so workers start from this process.
-    Imported here: most runs start no pool."""
-    from multiprocessing import get_all_start_methods, get_context
-    if "fork" in get_all_start_methods():
-        return get_context("fork")
-    return get_context()
+def _drain(seeds, next_seed, conn=None):
+    """Count the subtrees of seeds claimed one at a time from the shared
+    counter ``next_seed``; return the results, or send them down ``conn``."""
+    parts = []
+    while True:
+        with next_seed.get_lock():
+            i = next_seed.value
+            next_seed.value = i + 1
+        if i >= len(seeds):
+            return parts if conn is None else conn.send(parts)
+        parts.append(_count_subtrees(seeds[i]))
 
 
 def _passing(task, tally=False):
@@ -441,12 +445,12 @@ def _passing(task, tally=False):
     :class:`Poset`, or with ``tally`` as ``(size, count)`` pairs.
 
     With one job, or when the walk is no deeper than the split size, this
-    is one serial walk.  Otherwise the walk stops at the split size and
-    each seed there is one pool task; subtrees differ widely in size, so
-    tasks are handed out one at a time and their results stream back as
-    each finishes.  For a tally a worker returns its count per size;
-    otherwise it returns rows, which become posets here.  Serial
-    structures are yielded as built here, so none is labeled twice.
+    is one serial walk.  Otherwise the walk stops at the split size, and
+    the parent and ``workers - 1`` forked children :func:`_drain` the
+    seeds there.  Each child sends its results down its own pipe when
+    done; they are yielded only once every child is joined, and on an
+    error the children still alive are terminated.  Serial structures
+    are yielded as built here, so none is labeled twice.
     """
     root, joins, depth = _tree(task.filter, task.size)
     lift = task.size - depth
@@ -459,10 +463,32 @@ def _passing(task, tally=False):
             seeds.append((p.above, task.size, task.filter, tally))
     if single:
         return
+    # imported here: most runs start no worker
+    from multiprocessing import get_all_start_methods, get_context
+    ctx = get_context("fork" if "fork" in get_all_start_methods() else None)
     workers = min(task.jobs, len(seeds), os.cpu_count() or 1)
-    with _pool_context().Pool(workers) as pool:
-        for part in pool.imap_unordered(_count_subtrees, seeds):
-            yield from (part.items() if tally else map(Poset, part))
+    next_seed, children = ctx.Value("q", 0), []
+    try:
+        for _ in range(workers - 1):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_drain, daemon=True,
+                                args=(seeds, next_seed, send_end))
+            child.start()
+            children.append((child, recv_end))
+            send_end.close()  # before the next fork: EOF once child exits
+        parts = _drain(seeds, next_seed)
+        for child, recv_end in children:
+            parts += recv_end.recv()
+            child.join()
+    except EOFError:
+        child.join()
+        raise ChildProcessError(f"census worker exit code {child.exitcode}")
+    finally:
+        for child, _ in children:
+            child.terminate()  # no signal once joined
+            child.join()
+    for part in parts:
+        yield from (part.items() if tally else map(Poset, part))
 
 
 def count_chainmails(task, budget=None):

@@ -983,8 +983,9 @@ def test_hom_bijection_exhaustive():
     """Transposing is a bijection between the two hom sets for every
     chainmail and lattice with at most 5 elements each, in both the
     strict and the weak reading.  check_adjunction_bijection rebuilds
-    both hom sets, transposes every member both ways, and raises on any
-    mismatch; strict homs can never outnumber weak ones.  Both readings
+    both hom sets, transposes each chainmail morphism once and takes the
+    transpose back once, and raises on any mismatch; strict homs can
+    never outnumber weak ones.  Both readings
     sum to 18529 homs over the 450 pairs, so a search that loses homs on
     both sides fails."""
     from chainmail.verify import check_adjunction_bijection

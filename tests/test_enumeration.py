@@ -1,8 +1,11 @@
 """Isomorph-free enumeration: counts, filters, catalogs, determinism."""
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -28,6 +31,22 @@ LABELED = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 
 def codes_of(n):
     return {oracles.min_perm_code(p.n, p.above) for p in enumerate_posets(n)}
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process once ``seconds`` have passed,
+    so that a census which hangs fails instead."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_matches_naive_generation():
@@ -140,17 +159,21 @@ def test_join_table_carried_down_matches_rebuilt():
     check(root, joins, 7)
 
 
-def test_worker_count_independence():
-    for flt in FILTERS:
-        single = count_chainmails(EnumerationTask(7, flt))
-        for jobs in (2, 8):
-            assert count_chainmails(EnumerationTask(7, flt, jobs=jobs)) \
-                == single
+def test_worker_count_independence(monkeypatch):
+    """Counts do not depend on the workers, up to more than the cores
+    here: a seed claimed twice or never would change them."""
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    with deadline(60):
+        for flt in FILTERS:
+            single = count_chainmails(EnumerationTask(7, flt))
+            for jobs in (2, 8):
+                assert count_chainmails(EnumerationTask(7, flt, jobs=jobs)) \
+                    == single
 
 
 def test_worker_tally_counts_its_rows():
-    """For a count run a pool worker returns, per size, the number of rows
-    it returns for a catalog run, seed by seed of each walked tree."""
+    """For a count run a worker returns, per size, the number of rows it
+    returns for a catalog run, seed by seed of each walked tree."""
     for flt in FILTERS:
         root, joins, depth = enumeration._tree(flt, 7)
         seeds = [p for p, _ in enumeration._walk(root, 5, joins)
@@ -167,25 +190,50 @@ def test_worker_tally_counts_its_rows():
 
 
 def test_pool_workers_are_capped(monkeypatch):
-    """The pool starts min(jobs, seeds, CPUs) workers; checked with a
-    serial stand-in for the pool, so no process is started."""
+    """The census runs on the parent and min(jobs, seeds, CPUs) - 1
+    children; checked with a stand-in context whose processes run their
+    target in this one when started, so no process is started."""
     started = []
 
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
+    class Counter:
+        def __init__(self, typecode, value):
+            self.value = value
 
-        def __enter__(self):
-            return self
+        def get_lock(self):
+            return contextlib.nullcontext()
 
-        def __exit__(self, *exc):
-            return False
+    class End:
+        def send(self, obj):
+            self.sent = obj
 
-        def imap_unordered(self, fn, tasks):
-            return map(fn, tasks)
+        def recv(self):
+            return self.sent
+
+        def close(self):
+            pass
+
+    class InlineProcess:
+        def __init__(self, target, args, daemon):
+            self.target, self.args = target, args
+
+        def start(self):
+            started.append(self)
+            self.target(*self.args)
+
+        def join(self):
+            pass
+
+        def terminate(self):
+            pass
 
     class Context:
-        Pool = SerialPool
+        Value = Counter
+        Process = InlineProcess
+
+        @staticmethod
+        def Pipe(duplex):
+            end = End()
+            return end, end
 
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: Context())
@@ -197,8 +245,100 @@ def test_pool_workers_are_capped(monkeypatch):
             monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
             assert count_chainmails(EnumerationTask(size, flt, jobs=jobs)) \
                 == single
-            assert started.pop() == want
-    assert not started
+            assert len(started) == want - 1
+            started.clear()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two CPUs, so a two-job census starts one child; lists the children
+    started."""
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return started
+
+
+@pytest.mark.parametrize("where, fails, raised", [
+    ("parent", lambda: 1 // 0, ZeroDivisionError),
+    ("child", lambda: 1 // 0, "exit code 1"),
+    ("child", lambda: os._exit(7), "exit code 7"),
+], ids=["parent-raises", "child-raises", "child-exits"])
+def test_no_child_outlives_a_failed_census(monkeypatch, forks, where, fails,
+                                           raised):
+    """A seed that fails, in the parent or in a child, by an exception or
+    by the child's exit, fails the census in the parent, and no child is
+    left running."""
+    real = enumeration._count_subtrees
+    parent = os.getpid()
+    signal_r, signal_w = os.pipe()
+    waited = []
+
+    def count(args):
+        in_parent = os.getpid() == parent
+        if in_parent == (where == "parent"):
+            os.write(signal_w, b"!")
+            fails()
+        if in_parent and not waited:
+            waited.append(os.read(signal_r, 1))  # the child has failed
+        return real(args)
+
+    monkeypatch.setattr(enumeration, "_count_subtrees", count)
+    task = EnumerationTask(7, "all-posets", jobs=2)
+    try:
+        with deadline(30):
+            if isinstance(raised, str):
+                with pytest.raises(ChildProcessError, match=raised):
+                    count_chainmails(task)
+            else:
+                with pytest.raises(raised):
+                    count_chainmails(task)
+    finally:
+        os.close(signal_r)
+        os.close(signal_w)
+    assert len(forks) == 1
+    assert not multiprocessing.active_children()
+
+
+def test_no_child_outlives_an_early_close(forks):
+    """A consumer that stops at the first structure counted by the workers
+    leaves no child running."""
+    task = EnumerationTask(7, "mail-connected-chainmails", jobs=2)
+    with deadline(30):
+        found = enumeration._passing(task, tally=True)
+        assert any(size == 7 for size, _ in found)
+        found.close()
+    assert len(forks) == 1
+    assert not multiprocessing.active_children()
+
+
+def test_counts_without_fork(monkeypatch, forks):
+    """Where the platform has no fork the driver takes the default
+    context; with spawn standing in for it, the counts are the serial
+    ones for every filter."""
+    real = multiprocessing.get_context
+    asked = []
+
+    def get_context(method=None):
+        asked.append(method)
+        return real("spawn" if method is None else method)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "forkserver"])
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    with deadline(60):
+        for flt in FILTERS:
+            assert count_chainmails(EnumerationTask(7, flt, jobs=2)) \
+                == count_chainmails(EnumerationTask(7, flt))
+    assert asked == [None] * len(FILTERS)
+    assert [p._start_method for p in forks] == ["spawn"] * len(FILTERS)
+    assert not multiprocessing.active_children()
 
 
 def test_task_validation():
