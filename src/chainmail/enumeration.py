@@ -46,10 +46,12 @@ join k keeps k, which lies below the new element, as its least upper
 bound.  The test is invariant under automorphisms, so it filters the
 down-sets before their orbits are taken.  The join table travels down
 the recursion: in the child the pairs inside D that had no upper bound
-get the new element as their join, and nothing else changes.
+get the new element as their join, and nothing else changes; a worker
+gets each seed with its table and its group.
 """
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -178,33 +180,6 @@ def _stabilizer(p, orbit):
             out.append(tuple(swap))
             break
     return tuple(out)
-
-
-def _top_joins(p):
-    """The join table of the top-completable poset ``p``: ``(free, joined)``.
-
-    ``free[i]`` is the mask of the j for which {i, j} is a mail with no
-    upper bound.  ``joined[i]`` lists, by ascending k, the pairs ``(k,
-    js)``: ``js`` is the mask of the j > i incomparable with i for which
-    {i, j} is a mail with join k.  Comparable pairs are left out, since a
-    down-set holding both holds their join.
-    """
-    n, above, below = p.n, p.above, p.below
-    free = [0] * n
-    joined = [{} for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not below[i] & below[j] or (above[i] >> j) & 1 \
-                    or (above[j] >> i) & 1:
-                continue
-            ub = above[i] & above[j]
-            if ub:
-                k = p.least_of(ub)
-                joined[i][k] = joined[i].get(k, 0) | 1 << j
-            else:
-                free[i] |= 1 << j
-                free[j] |= 1 << i
-    return tuple(free), tuple(tuple(sorted(row.items())) for row in joined)
 
 
 def _join_closed(joined, dmask):
@@ -383,15 +358,17 @@ def _tree(which, size):
     All posets: every poset from the singleton to ``size``.  Chainmails:
     the top-completable posets from the singleton to ``size``.  The
     census: the top-completable posets from the empty one to ``size - 1``,
-    each P standing for P + top.
+    each P standing for P + top.  A join table is ``(free, joined)``:
+    ``free[i]`` masks the j whose mail {i, j} has no upper bound, and
+    ``joined[i]`` lists by ascending k the ``(k, js)``, ``js`` masking the
+    j > i, incomparable with i, whose mail {i, j} has join k.  The roots'
+    tables are constants; :func:`_child_joins` carries them down.
     """
     if which == "all-posets":
         return Poset((1,)), None, size
     if which == "chainmails":
-        root = Poset((1,))
-    else:
-        root, size = Poset(()), size - 1
-    return root, _top_joins(root), size
+        return Poset((1,)), ((0,), ((),)), size
+    return Poset(()), ((), ()), size - 1
 
 
 def _kept(joins, which):
@@ -410,21 +387,16 @@ def _structure(p, which):
 
 def _count_subtrees(args):
     """The structures of one seed's proper descendants, as rows, or with
-    ``tally`` as a count per size: one seed's work in :func:`_drain`."""
-    rows, size, which, tally = args
-    seed = Poset(rows)
+    ``tally`` as a count per size: one seed's work in :func:`_drain`.
+    The seed is the node the walk built, so it is not labeled again."""
+    seed, joins, size, which, tally = args
     depth = _tree(which, size)[2]
-    joins = None if which == "all-posets" else _top_joins(seed)
     found = (q for child, child_joins in _children(seed, joins)
              for q, q_joins in _walk(child, depth, child_joins)
              if _kept(q_joins, which))
     if not tally:
         return [_structure(q, which).above for q in found]
-    lift = size - depth
-    counts = {}
-    for q in found:
-        counts[q.n + lift] = counts.get(q.n + lift, 0) + 1
-    return counts
+    return Counter(q.n + size - depth for q in found)
 
 
 def _drain(seeds, next_seed, conn=None):
@@ -447,10 +419,12 @@ def _passing(task, tally=False):
     With one job, or when the walk is no deeper than the split size, this
     is one serial walk.  Otherwise the walk stops at the split size, and
     the parent and ``workers - 1`` forked children :func:`_drain` the
-    seeds there.  Each child sends its results down its own pipe when
-    done; they are yielded only once every child is joined, and on an
-    error the children still alive are terminated.  Serial structures
-    are yielded as built here, so none is labeled twice.
+    seeds there: the nodes the walk built, with their join tables and
+    their groups resolved, so a spawned child gets plain tuples.  Each
+    child sends its results down its own pipe when done; they are yielded
+    only once every child is joined, and on an error the children still
+    alive are terminated.  Serial structures are yielded as built here, so
+    none is labeled twice.
     """
     root, joins, depth = _tree(task.filter, task.size)
     lift = task.size - depth
@@ -460,7 +434,8 @@ def _passing(task, tally=False):
         if _kept(p_joins, task.filter):
             yield (p.n + lift, 1) if tally else _structure(p, task.filter)
         if not single and p.n == _SPLIT_SIZE:
-            seeds.append((p.above, task.size, task.filter, tally))
+            p.automorphisms()
+            seeds.append((p, p_joins, task.size, task.filter, tally))
     if single:
         return
     # imported here: most runs start no worker

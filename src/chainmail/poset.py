@@ -105,8 +105,8 @@ class Poset:
     reflexive-transitive up-set table, and ``below``, when given, its
     transpose.  Use :func:`validate_poset` for anything that arrives from
     outside the package.  ``automorphisms``, when given, is a callable
-    with no arguments that returns generators of the automorphism group;
-    :meth:`automorphisms` calls it once instead of labeling.
+    returning generators of the group, which :meth:`automorphisms` calls
+    once instead of labeling; a pickled poset keeps the result.
     """
 
     __slots__ = ("n", "above", "below", "labels", "_code", "_perm", "_autos",

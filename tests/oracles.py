@@ -162,6 +162,36 @@ def least_upper_bound(n, rows, mask):
     return None
 
 
+def join_table(n, rows):
+    """The ``(free, joined)`` join table of a top-completable poset, pair
+    by pair from the definition.
+
+    A mail is a pair {i, j} with a common lower bound.  ``free[i]`` masks
+    the j whose mail {i, j} has no upper bound.  ``joined[i]`` lists, by
+    ascending k, the pairs ``(k, js)``: ``js`` masks the j > i,
+    incomparable with i, whose mail {i, j} has least upper bound k.
+    Comparable pairs are left out, since a down-set holding both holds
+    their join.
+    """
+    free = [0] * n
+    joined = [{} for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        pair = (1 << i) | (1 << j)
+        if not lower_bound_mask(n, rows, pair) \
+                or (rows[i] >> j) & 1 or (rows[j] >> i) & 1:
+            continue
+        if not any((rows[i] >> u) & 1 and (rows[j] >> u) & 1
+                   for u in range(n)):
+            free[i] |= 1 << j
+            free[j] |= 1 << i
+            continue
+        k = least_upper_bound(n, rows, pair)
+        if k is None:
+            raise ValueError(f"{{{i}, {j}}} has upper bounds but no least")
+        joined[i][k] = joined[i].get(k, 0) | 1 << j
+    return tuple(free), tuple(tuple(sorted(row.items())) for row in joined)
+
+
 def first_monotonicity_break(rows1, rows2, table):
     """The first pair (i, j), i-major, with i <= j in the source but
     table[i] not <= table[j] in the target; None for a monotone table."""

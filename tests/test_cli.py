@@ -376,7 +376,7 @@ def test_python_m_chainmail_runs_main(capsys):
 
 def test_import_loads_neither_json_nor_multiprocessing():
     """``import chainmail`` leaves json and multiprocessing unloaded: the
-    catalog writer and the worker pool import them when they run, so a
+    catalog writer and the parallel census import them when they run, so a
     bare import pays for neither."""
     src = str(Path(chainmail.__file__).resolve().parent.parent)
     probe = ("import sys, chainmail; print(sorted({'json', "

@@ -5,12 +5,13 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 
 import pytest
 
 import oracles
-from chainmail import enumeration
+from chainmail import enumeration, poset
 from chainmail.canonical import canonical_maximal_position, refine_colors
 from chainmail.enumeration import (
     FILTERS,
@@ -136,7 +137,7 @@ def test_join_closure_decides_top_completable_children():
     root, joins, depth = enumeration._tree("chainmails", 5)
     seen = 0
     for p, _ in enumeration._walk(root, depth, joins):
-        joined = enumeration._top_joins(p)[1]
+        joined = oracles.join_table(p.n, p.above)[1]
         for dmask in oracles.downset_masks(p.n, p.above):
             child = enumeration._extend(p, dmask)
             assert enumeration._join_closed(joined, dmask) \
@@ -147,16 +148,20 @@ def test_join_closure_decides_top_completable_children():
 
 
 def test_join_table_carried_down_matches_rebuilt():
-    """The join table each child inherits equals the one built from the
-    child's order, at every node of the top-completable tree to size 7."""
-    def check(p, joins, depth):
-        assert joins == enumeration._top_joins(p)
-        if p.n < depth:
-            for child, child_joins in enumeration._children(p, joins):
-                check(child, child_joins, depth)
-
-    root, joins, _ = enumeration._tree("mail-connected-chainmails", 8)
-    check(root, joins, 7)
+    """The join table each node carries equals the one the oracle builds
+    from its order, at every node of the top-completable tree to size 7,
+    walked from the empty root of the census and from the singleton root
+    of the chainmails: both root tables are constants."""
+    census = count_chainmails(EnumerationTask(8, "mail-connected-chainmails"))
+    for which, root_size in (("mail-connected-chainmails", 0),
+                             ("chainmails", 1)):
+        root, joins, _ = enumeration._tree(which, 8)
+        assert root.n == root_size
+        seen = 0
+        for p, p_joins in enumeration._walk(root, 7, joins):
+            assert p_joins == oracles.join_table(p.n, p.above)
+            seen += 1
+        assert seen == sum(census.values()) - root_size
 
 
 def test_worker_count_independence(monkeypatch):
@@ -173,15 +178,16 @@ def test_worker_count_independence(monkeypatch):
 
 def test_worker_tally_counts_its_rows():
     """For a count run a worker returns, per size, the number of rows it
-    returns for a catalog run, seed by seed of each walked tree."""
+    returns for a catalog run, seed by seed of each walked tree; a seed
+    is the node ``(p, p_joins)`` the walk built."""
     for flt in FILTERS:
         root, joins, depth = enumeration._tree(flt, 7)
-        seeds = [p for p, _ in enumeration._walk(root, 5, joins)
-                 if p.n == 5]
+        seeds = [(p, p_joins) for p, p_joins
+                 in enumeration._walk(root, 5, joins) if p.n == 5]
         assert seeds
         for seed in seeds:
-            rows = enumeration._count_subtrees((seed.above, 7, flt, False))
-            tally = enumeration._count_subtrees((seed.above, 7, flt, True))
+            rows = enumeration._count_subtrees((*seed, 7, flt, False))
+            tally = enumeration._count_subtrees((*seed, 7, flt, True))
             sizes = {}
             for r in rows:
                 sizes[len(r)] = sizes.get(len(r), 0) + 1
@@ -189,10 +195,10 @@ def test_worker_tally_counts_its_rows():
             assert max(sizes, default=7) == 7
 
 
-def test_pool_workers_are_capped(monkeypatch):
-    """The census runs on the parent and min(jobs, seeds, CPUs) - 1
-    children; checked with a stand-in context whose processes run their
-    target in this one when started, so no process is started."""
+@pytest.fixture
+def inline_context(monkeypatch):
+    """A stand-in multiprocessing context whose processes run their target
+    in this one when started, so no process is started; lists them."""
     started = []
 
     class Counter:
@@ -237,6 +243,13 @@ def test_pool_workers_are_capped(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: Context())
+    return started
+
+
+def test_pool_workers_are_capped(monkeypatch, inline_context):
+    """The census runs on the parent and min(jobs, seeds, CPUs) - 1
+    children; checked with the stand-in context."""
+    started = inline_context
     for flt, size, seeds in (("all-posets", 6, 63),
                              ("mail-connected-chainmails", 7, 62)):
         single = count_chainmails(EnumerationTask(size, flt))
@@ -247,6 +260,58 @@ def test_pool_workers_are_capped(monkeypatch):
                 == single
             assert len(started) == want - 1
             started.clear()
+
+
+@pytest.fixture
+def labelings(monkeypatch):
+    """Counts the canonical labelings run in this process."""
+    calls = []
+    real = poset.canonical_labeling
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poset, "canonical_labeling", counting)
+    return calls
+
+
+def test_parallel_census_labels_as_often_as_serial(monkeypatch,
+                                                    inline_context,
+                                                    labelings):
+    """With two CPUs, two jobs label exactly as many posets as one: each
+    seed reaches its worker as the node the walk built, with its group,
+    and is not labeled again."""
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    for flt, size, want in (("all-posets", 7, 102), ("chainmails", 7, 97),
+                            ("mail-connected-chainmails", 8, 97)):
+        for jobs in (1, 2):
+            labelings.clear()
+            count_chainmails(EnumerationTask(size, flt, jobs=jobs))
+            assert len(labelings) == want
+        assert len(inline_context) == 1
+        inline_context.clear()
+
+
+def test_census_seeds_pickle_with_their_groups(monkeypatch, inline_context,
+                                               labelings):
+    """A census seed sent to a spawned child keeps its automorphism group
+    through pickling, resolved rather than as the lazy call that holds the
+    seed's ancestors, so the child labels none of them."""
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    # seeds as the parent hands them over, not as a worker leaves them
+    monkeypatch.setattr(enumeration, "_count_subtrees", lambda args: {})
+    count_chainmails(EnumerationTask(8, "mail-connected-chainmails", jobs=2))
+    seeds = inline_context[0].args[0]
+    assert len(seeds) == 62
+    labelings.clear()
+    for (p, p_joins, *_), (q, q_joins, *_) in zip(
+            seeds, pickle.loads(pickle.dumps(seeds)), strict=True):
+        assert q.n == 5 and (q.above, q_joins) == (p.above, p_joins)
+        assert isinstance(q._autos, tuple)
+        assert _closure(q.n, q.automorphisms()) \
+            == set(oracles.automorphisms(q.n, q.above))
+    assert not labelings
 
 
 @pytest.fixture
