@@ -320,34 +320,6 @@ def _walk(p, n, joins=None):
             yield from _walk(child, n, child_joins)
 
 
-def _walk_from_unit(n):
-    if n >= 1:
-        for p, _ in _walk(Poset((1,)), n):
-            yield p
-
-
-def enumerate_posets(n, budget=None):
-    """One representative per isomorphism class of posets on n elements."""
-    _check_size(n, budget)
-    if n == 0:
-        yield Poset(())
-        return
-    for p in _walk_from_unit(n):
-        if p.n == n:
-            yield p
-
-
-def posets_up_to(n):
-    """One representative per isomorphism class on 1..n elements, by size.
-
-    One walk, stably sorted by size: the walk is a preorder, and cutting
-    it off deeper does not reorder the posets of one size, so each size
-    comes out in the order :func:`enumerate_posets` yields it.
-    """
-    _check_size(n, None)
-    return sorted(_walk_from_unit(n), key=lambda p: p.n)
-
-
 def _mail_connected(g):
     return len(g.components_of(g.poset.full_mask())) == 1
 
@@ -464,6 +436,28 @@ def _passing(task, tally=False):
             child.join()
     for part in parts:
         yield from (part.items() if tally else map(Poset, part))
+
+
+def enumerate_posets(n, budget=None):
+    """One representative per isomorphism class of posets on n elements."""
+    _check_size(n, budget)
+    if n == 0:
+        yield Poset(())
+    elif n > 0:
+        yield from (p for p in _passing(EnumerationTask(n)) if p.n == n)
+
+
+def posets_up_to(n, which="all-posets"):
+    """The structures on 1..n elements that pass the filter ``which``, by
+    size: one serial walk of its tree (:func:`_passing`), stably sorted.
+    The walk is a preorder, so each size keeps the order
+    :func:`enumerate_posets` yields it in; the chainmails tree is the
+    all-posets tree pruned, so within a size its chainmails keep the
+    all-posets order."""
+    _check_size(n, None)
+    if n < 1:
+        return []
+    return sorted(_passing(EnumerationTask(n, which)), key=lambda p: p.n)
 
 
 def count_chainmails(task, budget=None):

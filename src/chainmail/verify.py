@@ -5,6 +5,9 @@ lattices or chainmails and checks one body of claims on every member,
 returning a report rather than raising, so a failing law produces a
 named witness instead of a stack trace.  The command line and the test
 suite both run these.
+
+Each population is one walk of the enumeration driver: every poset for
+the pairwise criterion, the chainmails tree for the others.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +15,7 @@ from time import perf_counter
 
 from . import category, lattice
 from .enumeration import posets_up_to
-from .errors import NotAChainmail, NotALattice, TheoremViolation
+from .errors import TheoremViolation
 from .lattice import as_complete_lattice
 from .mails import as_chainmail, poset_is_chainmail
 
@@ -37,28 +40,17 @@ def _poset_name(p):
     return f"poset(n={p.n}, covers={p.covers()})"
 
 
-def _structures_up_to(l_bound, g_bound=0):
-    """One walk of the posets by size, up to the larger bound, yielding
-    ``(lattice, chainmail)`` per poset: the poset as a complete lattice
-    if it has at most l_bound elements and is one, else None, and as a
-    chainmail if it has at most g_bound elements and is one, else None."""
-    for p in posets_up_to(max(l_bound, g_bound)):
-        lat = g = None
-        if p.n <= l_bound:
-            try:
-                lat = as_complete_lattice(p)
-            except NotALattice:
-                pass
-        if p.n <= g_bound:
-            try:
-                g = as_chainmail(p)
-            except NotAChainmail:
-                pass
-        yield lat, g
+def _lattices(posets):
+    """The lattices among the chainmail ``posets``: those with a least
+    element.  With one, every nonempty set is a mail, so has a join, and
+    a meet, the join of its lower bounds.  Conversely a finite lattice has
+    a least element, the meet of all, and every mail has a join."""
+    return [as_complete_lattice(p) for p in posets
+            if p.least_of(p.full_mask()) is not None]
 
 
 def _lattices_up_to(n):
-    return (lat for lat, _ in _structures_up_to(n) if lat is not None)
+    return _lattices(posets_up_to(n, "chainmails"))
 
 
 def _bound(max_size, default):
@@ -147,12 +139,8 @@ def suite_unit_counit(max_size=None):
     bound = _bound(max_size, 6)
     report = SuiteReport("unit-counit",
                          f"chainmails and lattices from n<={bound}")
-    ls = []  # the lattices wait; the chainmails are checked as they come
-    for lat, g in _structures_up_to(bound, bound):
-        if lat is not None:
-            ls.append(lat)
-        if g is None:
-            continue
+    posets = posets_up_to(bound, "chainmails")
+    for g in map(as_chainmail, posets):
         report.checked += 1
         name = _poset_name(g.poset)
         try:
@@ -160,7 +148,7 @@ def suite_unit_counit(max_size=None):
         except TheoremViolation as e:
             report.record(name, "unit is an order-isomorphism",
                           (e.law, e.witness))
-    for lat in ls:
+    for lat in _lattices(posets):
         if not lattice.is_locally_connected(lat):
             continue
         report.checked += 1
@@ -240,13 +228,9 @@ def suite_adjunction(max_size=None):
     l_bound = g_bound + 1
     report = SuiteReport(
         "adjunction", f"chainmails n<={g_bound} x lattices n<={l_bound}")
-    ls, gs = [], []
-    for lat, g in _structures_up_to(l_bound, g_bound):
-        if lat is not None:
-            ls.append(lat)
-        if g is not None:
-            gs.append(g)
-    for g in gs:
+    posets = posets_up_to(l_bound, "chainmails")
+    ls = _lattices(posets)
+    for g in (as_chainmail(p) for p in posets if p.n <= g_bound):
         gname = _poset_name(g.poset)
         for lat in ls:
             report.checked += 1

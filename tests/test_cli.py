@@ -172,13 +172,18 @@ def test_verify_rejects_max_size_below_one(bound, capsys):
 
 
 def test_verify_empty_population_is_not_ok(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "posets_up_to", lambda n: [])
-    assert main(["verify", "--suite", "pairwise-criterion",
-                 "--max-size", "3"]) == 2
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ("suite pairwise-criterion [posets n<=3]: "
-                        "0 checked, 1 violations: FAILED")
-    assert "population is not empty" in lines[1]
+    """An empty population fails the suite, whichever filter it draws."""
+    monkeypatch.setattr(verify, "posets_up_to",
+                        lambda n, which="all-posets": [])
+    for suite, sizes in [
+            ("pairwise-criterion", "posets n<=3"),
+            ("connectivity-conditions", "lattices from n<=3"),
+            ("unit-counit", "chainmails and lattices from n<=3")]:
+        assert main(["verify", "--suite", suite, "--max-size", "3"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (f"suite {suite} [{sizes}]: "
+                            "0 checked, 1 violations: FAILED")
+        assert "population is not empty" in lines[1]
 
 
 @pytest.mark.parametrize("cover", [["a", "b", "c"], ["a"], 5])
@@ -375,14 +380,17 @@ def test_python_m_chainmail_runs_main(capsys):
 
 
 def test_import_loads_neither_json_nor_multiprocessing():
-    """``import chainmail`` leaves json and multiprocessing unloaded: the
-    catalog writer and the parallel census import them when they run, so a
-    bare import pays for neither."""
+    """``import chainmail`` leaves json and multiprocessing unloaded, and so
+    does running a suite: the catalog writer and the parallel census import
+    them when they run, so a bare import or a serial walk pays for
+    neither."""
     src = str(Path(chainmail.__file__).resolve().parent.parent)
-    probe = ("import sys, chainmail; print(sorted({'json', "
-             "'multiprocessing'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src),
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    for run in ["", "chainmail.run_suite('unit-counit', 3); "]:
+        probe = (f"import sys, chainmail; {run}print(sorted({{'json', "
+                 "'multiprocessing'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

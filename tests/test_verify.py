@@ -5,9 +5,10 @@ import dataclasses
 import pytest
 
 from chainmail import category, lattice, verify
-from chainmail.errors import TheoremViolation
+from chainmail.enumeration import posets_up_to
+from chainmail.errors import NotALattice, TheoremViolation
 from chainmail.lattice import as_complete_lattice
-from chainmail.mails import as_chainmail
+from chainmail.mails import as_chainmail, poset_is_chainmail
 from chainmail.poset import validate_poset
 from chainmail.sources import powerset_lattice
 from chainmail.verify import (SUITES, SuiteReport, check_adjunction_bijection,
@@ -47,6 +48,34 @@ def test_lattice_walk_counts_a006966():
     sizes = [lat.n for lat in verify._lattices_up_to(8)]
     assert [sizes.count(n) for n in range(1, 9)] \
         == [1, 1, 1, 2, 5, 15, 53, 222]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_populations_match_the_validators(n):
+    """The chainmails tree yields the posets ``poset_is_chainmail``
+    accepts, and the lattices drawn from it are the posets
+    ``as_complete_lattice`` accepts, both in the all-posets order."""
+    posets = posets_up_to(n)
+    assert [p.above for p in posets_up_to(n, "chainmails")] \
+        == [p.above for p in posets if poset_is_chainmail(p)]
+    accepted = []
+    for p in posets:
+        try:
+            as_complete_lattice(p)
+        except NotALattice:
+            continue
+        accepted.append(p.above)
+    assert [lat.poset.above for lat in verify._lattices_up_to(n)] == accepted
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_bound_zero_is_an_empty_population(name):
+    """At bound 0 a suite checks nothing and says so as its one
+    violation; it raises nothing."""
+    report = run_suite(name, 0)
+    assert report.checked == 0
+    assert [v["law"] for v in report.violations] \
+        == ["population is not empty"]
 
 
 def test_connectivity_conditions_pass():
