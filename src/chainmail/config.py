@@ -2,7 +2,8 @@
 
 All the constructions here are exponential in the worst case; desk scale
 is the target.  The family cap is one constant, read at call time,
-because most families it bounds are cached on their structures; it also
+because most families it bounds are cached on their structures; each
+family is capped by :func:`capped` where it is walked, and the cap also
 bounds the candidate up-sets of a representation search.  Every other
 budget can be overridden per call, and the poset cap also via the
 CHAINMAIL_BUDGET environment variable.
@@ -10,7 +11,7 @@ CHAINMAIL_BUDGET environment variable.
 
 import os
 
-from .errors import ChainmailError
+from .errors import ChainmailError, SizeBudgetExceeded
 
 DEFAULT_POSET_CAP = 24        # validated input posets
 DEFAULT_FAMILY_CAP = 1 << 16  # materialized set families (td sets, separated sets)
@@ -32,6 +33,15 @@ def poset_cap(override=None):
         raise ChainmailError(
             f"CHAINMAIL_BUDGET must be an integer, at least 0, got {env!r}")
     return cap
+
+
+def capped(items, what):
+    """Yield ``items``; raise SizeBudgetExceeded at one past the cap."""
+    cap = DEFAULT_FAMILY_CAP
+    for count, item in enumerate(items, 1):
+        if count > cap:
+            raise SizeBudgetExceeded(what, count, cap)
+        yield item
 
 
 def enum_cap(override=None):

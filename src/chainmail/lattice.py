@@ -1,22 +1,37 @@
 """Complete finite lattices and point-free connectivity inside them.
 
-The conditions a lattice element can satisfy:
-
-  disjoint-join-prime: a != 0, and whenever a <= x v y with x ^ y = 0,
-    already a <= x or a <= y.
-  disjoint-join-indecomposable: a != 0, and whenever a = x v y with
-    x ^ y = 0, one of x, y is 0.
-  separated-join-member: every separated set joining exactly to a
-    contains a itself.
-  separated-join-prime: whenever a <= join(S) for a separated set S,
-    a <= s for a single member s.
-
 A separated set is a set of nonzero elements whose pairwise meets are all
-zero.  An element is called connected when it is separated-join-prime;
-that condition implies the other three in any complete lattice, and in a
-locally connected lattice all four are equivalent.  Bottom is never
-separated-join-member or separated-join-prime (the empty separated set
-witnesses both failures), so "connected" excludes bottom automatically.
+zero.  The four conditions an element a can satisfy each fail at a != 0
+exactly when some separated set R with a <= join(R) refutes them:
+
+  separated-join-prime: whenever a <= join(S) for a separated set S,
+    a <= s for a single member s.  R refutes it when no member of R is
+    above a.
+  disjoint-join-prime: a != 0, and whenever a <= x v y with x ^ y = 0,
+    already a <= x or a <= y.  R refutes it as above, with |R| <= 2: a
+    refuting pair has x, y != 0, since x = 0 gives a <= y, and x != y,
+    since x ^ y = 0; a set of at most one member never refutes, since
+    a is not below it and a != 0.
+  separated-join-member: every separated set joining exactly to a
+    contains a itself.  R refutes it when join(R) = a and a is not in
+    R; then every member lies strictly below a, and for such an R,
+    a <= join(R) holds exactly when join(R) = a.
+  disjoint-join-indecomposable: a != 0, and whenever a = x v y with
+    x ^ y = 0, one of x, y is 0.  A refuting pair has x, y != 0, and
+    neither is a, since x = a would give a ^ y = y != 0; so R refutes
+    it when R refutes separated-join-member and |R| = 2.
+
+So the four differ only in where R's members may lie (strictly below a,
+or not above a) and in how many it may have (two, or any number), and
+one search over separated sets decides them all.  Members strictly below
+a are not above a, and a pair is a separated set, so the refuters of
+disjoint-join-indecomposable refute disjoint-join-prime and
+separated-join-member, and those of either refute separated-join-prime.
+These inclusions are the implications the connectivity-conditions suite
+checks: separated-join-prime implies the other three.  An element is
+called connected when it is separated-join-prime; in a locally connected
+lattice all four conditions are equivalent.  Bottom satisfies none: the
+empty separated set refutes the separated two.
 """
 
 from dataclasses import dataclass
@@ -27,7 +42,6 @@ from .errors import (
     EmptyInput,
     NotALattice,
     NotLocallyConnectedBelow,
-    SizeBudgetExceeded,
     TheoremViolation,
 )
 from .poset import (Poset, components, iter_pairwise_masks, lower_order,
@@ -98,11 +112,11 @@ class CompleteLattice:
         SizeBudgetExceeded.
         """
         if self._separated is None:
-            cap = config.DEFAULT_FAMILY_CAP
             joins = self.joins
             index = {}
             out = []
-            for m in iter_separated_masks(self):
+            for m in config.capped(iter_separated_masks(self),
+                                   "separated-set family"):
                 index[m] = len(out)
                 if m:
                     last = m.bit_length() - 1
@@ -110,9 +124,6 @@ class CompleteLattice:
                     out.append((m, joins[out[parent][1]][last], parent, last))
                 else:
                     out.append((0, self.bottom, None, None))
-                if len(out) > cap:
-                    raise SizeBudgetExceeded("separated-set family",
-                                             len(out), cap)
             self._separated = tuple(out)
         return self._separated
 
@@ -197,110 +208,54 @@ def is_chained(lat, c):
 
 # -- the element conditions ---------------------------------------------------
 
-def _check_disjoint_join_prime(lat, a):
-    if a == lat.bottom:
-        return False
+def _joins_above(lat, a, candidates, room):
+    """Whether some separated subset of ``candidates``, of at most
+    ``room`` members, has its join above a.
+
+    Sets grow as in :func:`iter_separated_masks`, each join one join from
+    its parent's.  A branch is cut once its room is spent, or once not
+    even its join with every remaining candidate is above a.
+    """
+    joins = lat.joins
     up_a = lat.poset.above[a]
-    for x in range(lat.n):
-        jrow = lat.joins[x]
-        mrow = lat.meets[x]
-        for y in range(x, lat.n):
-            if mrow[y] == lat.bottom and (lat.poset.below[jrow[y]] >> a) & 1:
-                if not ((up_a >> x) & 1 or (up_a >> y) & 1):
-                    return False
-    return True
-
-
-def _check_disjoint_join_indecomposable(lat, a):
-    if a == lat.bottom:
-        return False
-    for x in range(lat.n):
-        if x == lat.bottom:
-            continue
-        jrow = lat.joins[x]
-        mrow = lat.meets[x]
-        for y in range(x, lat.n):
-            if y == lat.bottom:
-                continue
-            if jrow[y] == a and mrow[y] == lat.bottom:
-                return False
-    return True
-
-
-def _check_separated_join_member(lat, a):
-    # the empty separated set joins to bottom, which fails membership
-    if a == lat.bottom:
-        return False
-    # a counterexample is a separated subset of the strict down-set of a
-    # (bottom and a itself excluded) joining exactly to a
-    candidates = lat.poset.below[a] & ~(1 << a) & ~(1 << lat.bottom)
     disj = lat.disjointness()
 
-    def search(cur_join, allowed):
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            e = low.bit_length() - 1
-            rest ^= low
-            j = lat.joins[cur_join][e]
-            if j == a:
-                return True
-            if search(j, rest & disj[e]):
-                return True
-        return False
-
-    return not search(lat.bottom, candidates)
-
-
-def _check_separated_join_prime(lat, a):
-    if a == lat.bottom:
-        return False
-    # every member of a counterexample fails a <= s, so restrict candidates
-    not_above_a = ~lat.poset.above[a] & lat.poset.full_mask()
-    candidates = not_above_a & ~(1 << lat.bottom)
-    disj = lat.disjointness()
-    up_a = lat.poset.above[a]
-
-    def reachable(cur_join, allowed):
-        # upper bound on any join attainable from here
-        j = cur_join
-        for e in iter_bits(allowed):
-            j = lat.joins[j][e]
-        return (up_a >> j) & 1 == 1
-
-    def search(cur_join, allowed):
-        if (up_a >> cur_join) & 1:
+    def search(cur, allowed, room):
+        if (up_a >> cur) & 1:
             return True
-        if not reachable(cur_join, allowed):
+        if not room or not (up_a >> joins[cur][lat.join_mask(allowed)]) & 1:
             return False
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            e = low.bit_length() - 1
-            rest ^= low
-            if search(lat.joins[cur_join][e], rest & disj[e]):
+        for e in iter_bits(allowed):
+            rest = allowed >> (e + 1) << (e + 1)
+            if search(joins[cur][e], rest & disj[e], room - 1):
                 return True
         return False
 
-    return not search(lat.bottom, candidates)
+    return search(lat.bottom, candidates & ~(1 << lat.bottom), room)
 
 
-# condition name -> its check on (lat, a), in the module docstring's order
+# condition name -> (its refuters lie strictly below a, not merely not
+# above it; only pairs refute it), in the module docstring's order
 _CONDITIONS = {
-    "disjoint-join-prime": _check_disjoint_join_prime,
-    "disjoint-join-indecomposable": _check_disjoint_join_indecomposable,
-    "separated-join-member": _check_separated_join_member,
-    "separated-join-prime": _check_separated_join_prime,
+    "disjoint-join-prime": (False, True),
+    "disjoint-join-indecomposable": (True, True),
+    "separated-join-member": (True, False),
+    "separated-join-prime": (False, False),
 }
 CONDITIONS = tuple(_CONDITIONS)
 
 
 def check_condition(lat, a, which):
     try:
-        check = _CONDITIONS[which]
+        strictly_below, pairs = _CONDITIONS[which]
     except KeyError:
         raise ValueError(f"unknown condition: {which!r}") from None
-    return check(lat, a)
+    if a == lat.bottom:
+        return False
+    p = lat.poset
+    candidates = (p.below[a] & ~(1 << a) if strictly_below
+                  else p.full_mask() & ~p.above[a])
+    return not _joins_above(lat, a, candidates, 2 if pairs else lat.n)
 
 
 def connected_elements(lat):
@@ -375,13 +330,9 @@ class SeparationPoset:
 
 
 def separation_poset(lat):
-    cap = config.DEFAULT_FAMILY_CAP
-    masks = []
-    for m in iter_separated_masks(lat, lat.connected_mask()):
-        masks.append(m)
-        if len(masks) > cap:
-            raise SizeBudgetExceeded("separated-set family", len(masks), cap)
-    masks.sort()
+    masks = sorted(config.capped(
+        iter_separated_masks(lat, lat.connected_mask()),
+        "separated-set family"))
     down = [lat.poset.down_closure(m) for m in masks]
     poset = Poset(lower_order(masks, down))
     for i in range(len(masks)):

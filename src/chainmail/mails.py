@@ -16,7 +16,6 @@ from .errors import (
     AxiomViolation,
     NotAChainmail,
     NotMailConnected,
-    SizeBudgetExceeded,
     TheoremViolation,
 )
 from .lattice import CompleteLattice
@@ -270,14 +269,9 @@ def d_lattice(g):
     """
     if g._d is not None:
         return g._d
-    cap = config.DEFAULT_FAMILY_CAP
     p = g.poset
-    tds = []
-    for m in iter_td_masks(g):
-        tds.append(m)
-        if len(tds) > cap:
-            raise SizeBudgetExceeded("totally-disconnected family", len(tds), cap)
-    tds.sort()
+    tds = sorted(config.capped(iter_td_masks(g),
+                               "totally-disconnected family"))
     k = len(tds)
     index = {m: i for i, m in enumerate(tds)}
     down = [p.down_closure(m) for m in tds]

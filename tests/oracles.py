@@ -335,14 +335,48 @@ def mail_component_count(n, rows, mask):
 # -- lattice-side references ---------------------------------------------------
 
 def separated_subsets(n, meets, bottom):
-    """All separated subsets as masks, by filtering every subset."""
+    """All separated subsets as masks, grown one member at a time: a set
+    is extended by each larger nonzero element whose meet with every
+    member is bottom."""
     out = []
-    for mask in range(1 << n):
-        members = [i for i in range(n) if (mask >> i) & 1]
-        if bottom in members:
-            continue
-        if all(meets[a][b] == bottom for a, b in combinations(members, 2)):
-            out.append(mask)
+
+    def grow(members, mask):
+        out.append(mask)
+        for e in range(members[-1] + 1 if members else 0, n):
+            if e != bottom and all(meets[e][m] == bottom for m in members):
+                grow(members + [e], mask | 1 << e)
+
+    grow([], 0)
+    return out
+
+
+def element_conditions(n, rows, meets, bottom):
+    """The four element conditions of every element, from their
+    definitions: ``out[a][name]`` says whether element a meets condition
+    ``name``.  Joins are least upper bounds read off the order; pairs
+    range over every (x, y), separated sets over :func:`separated_subsets`.
+    """
+    def leq(i, j):
+        return (rows[i] >> j) & 1 == 1
+
+    pairs = [(x, y, least_upper_bound(n, rows, (1 << x) | (1 << y)))
+             for x in range(n) for y in range(n) if meets[x][y] == bottom]
+    seps = [([i for i in range(n) if (mask >> i) & 1],
+             least_upper_bound(n, rows, mask))
+            for mask in separated_subsets(n, meets, bottom)]
+    out = []
+    for a in range(n):
+        out.append({
+            "disjoint-join-prime": a != bottom and all(
+                leq(a, x) or leq(a, y) for x, y, j in pairs if leq(a, j)),
+            "disjoint-join-indecomposable": a != bottom and all(
+                bottom in (x, y) for x, y, j in pairs if j == a),
+            "separated-join-member": all(
+                a in members for members, j in seps if j == a),
+            "separated-join-prime": all(
+                any(leq(a, s) for s in members)
+                for members, j in seps if leq(a, j)),
+        })
     return out
 
 

@@ -114,10 +114,9 @@ def test_iter_separated_matches_bruteforce(small_lattices):
         assert fast == slow
 
 
-def test_separated_table_matches_walk():
-    """separated() lists the walk's sets in walk order, each with its join
-    and with the index of the set less its highest member, on every
-    lattice n<=7 and on the D lattice of every chainmail n<=5."""
+@pytest.fixture(scope="module")
+def walk_lattices():
+    """Every lattice n<=7 and the D lattice of every chainmail n<=5."""
     lats = []
     for p in posets_up_to(7):
         if p.n <= 5 and poset_is_chainmail(p):
@@ -126,7 +125,15 @@ def test_separated_table_matches_walk():
             lats.append(as_complete_lattice(p))
         except NotALattice:
             pass
-    for lat in lats:
+    assert len(lats) == 78 + 45
+    return lats
+
+
+def test_separated_table_matches_walk(walk_lattices):
+    """separated() lists the walk's sets in walk order, each with its join
+    and with the index of the set less its highest member, on every
+    lattice n<=7 and on the D lattice of every chainmail n<=5."""
+    for lat in walk_lattices:
         table = lat.separated()
         assert [e[0] for e in table] == list(iter_separated_masks(lat))
         assert table[0] == (0, lat.bottom, None, None)
@@ -134,7 +141,6 @@ def test_separated_table_matches_walk():
             assert join == lat.join_mask(mask)
             assert last == mask.bit_length() - 1
             assert parent < i and table[parent][0] == mask ^ (1 << last)
-    assert len(lats) == 78 + 45
 
 
 def test_separated_table_cap():
@@ -157,6 +163,48 @@ def test_conditions_tuple_is_fixed():
         "separated-join-member",
         "separated-join-prime",
     )
+
+
+def test_conditions_match_oracle(walk_lattices):
+    """Every element of every lattice n<=7 and of the D lattice of every
+    chainmail n<=5 meets exactly the conditions the definitions give."""
+    for lat in walk_lattices:
+        slow = oracles.element_conditions(lat.n, lat.poset.above, lat.meets,
+                                          lat.bottom)
+        for a in range(lat.n):
+            assert {c: check_condition(lat, a, c) for c in CONDITIONS} \
+                == slow[a], (lat, a)
+
+
+def test_pair_conditions_are_weaker():
+    """A 15-element lattice whose top is disjoint-join-prime and
+    disjoint-join-indecomposable, yet neither separated condition holds
+    there: {1,4}, {2,5} and {3,6} are separated and join to the top, while
+    no two of them do.  On every other lattice the tests build, each pair
+    condition agrees with its separated one."""
+    seeds = [0b001001, 0b010010, 0b100100,
+             0b111011, 0b111101, 0b111110, 0, 0b111111]
+    family = set(seeds)
+    while True:
+        more = {x & y for x in family for y in family} - family
+        if not more:
+            break
+        family |= more
+    masks = sorted(family)
+    assert len(masks) == 15
+    leq = [(i, j) for i, x in enumerate(masks) for j, y in enumerate(masks)
+           if x & ~y == 0]
+    lat = as_complete_lattice(validate_poset(15, leq, mode="full-relation"))
+    top = masks.index(0b111111)
+    assert lat.top == top
+    assert check_condition(lat, top, "disjoint-join-prime")
+    assert check_condition(lat, top, "disjoint-join-indecomposable")
+    assert not check_condition(lat, top, "separated-join-member")
+    assert not check_condition(lat, top, "separated-join-prime")
+    slow = oracles.element_conditions(lat.n, lat.poset.above, lat.meets,
+                                      lat.bottom)
+    assert [{c: check_condition(lat, a, c) for c in CONDITIONS}
+            for a in range(lat.n)] == slow
 
 
 def test_m3_atom_conditions(m3):
