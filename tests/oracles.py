@@ -162,6 +162,20 @@ def least_upper_bound(n, rows, mask):
     return None
 
 
+def meet_table(n, rows):
+    """``out[i][j]`` is the greatest lower bound of i and j, or None: the
+    common lower bound that every other one lies below."""
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lows = [v for v in range(n)
+                    if (rows[v] >> i) & 1 and (rows[v] >> j) & 1]
+            for v in lows:
+                if all((rows[u] >> v) & 1 for u in lows):
+                    out[i][j] = v
+    return out
+
+
 def join_table(n, rows):
     """The ``(free, joined)`` join table of a top-completable poset, pair
     by pair from the definition.

@@ -71,6 +71,30 @@ def test_missing_meet_witness():
     assert e.value.kind == "meet"
 
 
+def test_validation_matches_oracle(posets_by_size):
+    """Every poset n<=5: a lattice's meets are the oracle's greatest lower
+    bounds; a non-lattice names the largest pair without a join, or
+    failing that, the largest pair without a meet."""
+    for posets in posets_by_size.values():
+        for p in posets:
+            n, rows = p.n, p.above
+            meets = oracles.meet_table(n, rows)
+            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            no_join = [(i, j) for i, j in pairs if oracles.least_upper_bound(
+                n, rows, (1 << i) | (1 << j)) is None]
+            no_meet = [(i, j) for i, j in pairs if meets[i][j] is None]
+            if no_join or no_meet:
+                with pytest.raises(NotALattice) as e:
+                    as_complete_lattice(p)
+                kind = "join" if no_join else "meet"
+                assert (e.value.witness, e.value.kind) == \
+                    (max(no_join or no_meet), kind)
+                continue
+            lat = as_complete_lattice(p)
+            assert [[lat.meet(i, j) for j in range(n)]
+                    for i in range(n)] == meets
+
+
 def test_m3_is_lattice(m3):
     assert m3.bottom == 0
     assert m3.top == 4
@@ -110,7 +134,8 @@ def test_chained_examples():
 def test_iter_separated_matches_bruteforce(small_lattices):
     for lat in small_lattices:
         fast = sorted(iter_separated_masks(lat))
-        slow = sorted(oracles.separated_subsets(lat.n, lat.meets, lat.bottom))
+        slow = sorted(oracles.separated_subsets(
+            lat.n, oracles.meet_table(lat.n, lat.poset.above), lat.bottom))
         assert fast == slow
 
 
@@ -169,8 +194,9 @@ def test_conditions_match_oracle(walk_lattices):
     """Every element of every lattice n<=7 and of the D lattice of every
     chainmail n<=5 meets exactly the conditions the definitions give."""
     for lat in walk_lattices:
-        slow = oracles.element_conditions(lat.n, lat.poset.above, lat.meets,
-                                          lat.bottom)
+        slow = oracles.element_conditions(
+            lat.n, lat.poset.above,
+            oracles.meet_table(lat.n, lat.poset.above), lat.bottom)
         for a in range(lat.n):
             assert {c: check_condition(lat, a, c) for c in CONDITIONS} \
                 == slow[a], (lat, a)
@@ -201,8 +227,9 @@ def test_pair_conditions_are_weaker():
     assert check_condition(lat, top, "disjoint-join-indecomposable")
     assert not check_condition(lat, top, "separated-join-member")
     assert not check_condition(lat, top, "separated-join-prime")
-    slow = oracles.element_conditions(lat.n, lat.poset.above, lat.meets,
-                                      lat.bottom)
+    slow = oracles.element_conditions(
+        lat.n, lat.poset.above, oracles.meet_table(lat.n, lat.poset.above),
+        lat.bottom)
     assert [{c: check_condition(lat, a, c) for c in CONDITIONS}
             for a in range(lat.n)] == slow
 

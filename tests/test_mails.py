@@ -317,6 +317,19 @@ def test_d_lattice_steps_match_td_sets():
     assert len(gs) == 144
 
 
+def test_d_joins_match_definition(small_chainmails, counterexample):
+    """Every cell of D's join table is the td set of the subchainmail the
+    union generates, from the definitions: chainmails n<=5, the
+    counterexample and the antichains up to 6."""
+    antichains = [mk_mail(k, []) for k in range(1, 7)]
+    for g in small_chainmails + [counterexample] + antichains:
+        dl = d_lattice(g)
+        tds = dl.td_sets
+        for i, mi in enumerate(tds):
+            assert [dl.index[oracles.d_image(g, mi | mj)] for mj in tds] \
+                == list(dl.lattice.joins[i]), (g, i)
+
+
 def test_d_order_matches_subchainmail_inclusion(small_chainmails, counterexample):
     """Comparing totally disconnected sets member-by-member gives the same
     order as inclusion of their down-sets."""
