@@ -49,20 +49,20 @@ from .poset import (Poset, components, iter_pairwise_masks, lower_order,
 
 
 class CompleteLattice:
-    """A finite complete lattice: a Poset plus join/meet tables.
+    """A finite complete lattice: a Poset plus its join table.
 
-    Use :func:`as_complete_lattice` to build one; the constructor assumes
+    Meets are read off the order, as greatest common lower bounds.  Use
+    :func:`as_complete_lattice` to build one; the constructor assumes
     the poset really is a lattice.  ``_k`` caches its K chainmail.
     """
 
-    __slots__ = ("poset", "n", "bottom", "top", "joins", "meets",
+    __slots__ = ("poset", "n", "bottom", "top", "joins",
                  "_disjoint", "_separated", "_connected_mask", "_k")
 
-    def __init__(self, poset, joins, meets, bottom, top):
+    def __init__(self, poset, joins, bottom, top):
         self.poset = poset
         self.n = poset.n
         self.joins = joins
-        self.meets = meets
         self.bottom = bottom
         self.top = top
         self._disjoint = None
@@ -77,7 +77,7 @@ class CompleteLattice:
         return self.joins[i][j]
 
     def meet(self, i, j):
-        return self.meets[i][j]
+        return self.poset.meet_mask((1 << i) | (1 << j))
 
     def join_set(self, members):
         out = self.bottom
@@ -95,10 +95,17 @@ class CompleteLattice:
         return out
 
     def disjointness(self):
-        """disjointness()[i] = mask of j with meet(i, j) = bottom."""
+        """disjointness()[i] = mask of j with meet(i, j) = bottom: the j
+        above no element but bottom of i's down-set."""
         if self._disjoint is None:
-            self._disjoint = tuple(pullback(row, self.n, [1 << self.bottom])[0]
-                                   for row in self.meets)
+            above, full = self.poset.above, self.poset.full_mask()
+            out = []
+            for row in self.poset.below:
+                touch = 0
+                for x in iter_bits(row & ~(1 << self.bottom)):
+                    touch |= above[x]
+                out.append(full & ~touch)
+            self._disjoint = tuple(out)
         return self._disjoint
 
     def separated(self):
@@ -140,8 +147,12 @@ class CompleteLattice:
 def as_complete_lattice(p):
     """Validate that Poset ``p`` is a complete lattice.
 
-    Finite criterion: nonempty carrier and every pair of elements has both
-    a join and a meet; bottom and top then exist by folding.
+    Finite criterion: a nonempty carrier in which every pair has a join,
+    and a least element.  The least element makes each pair's lower
+    bounds nonempty, and their join is the pair's meet; a finite lattice
+    has one, the meet of all.  So only a poset without one scans for a
+    missing meet.  The witness is the largest pair without a join, else
+    the largest without a meet.
     """
     if not isinstance(p, Poset):
         raise TypeError(f"expected Poset, got {type(p).__name__}")
@@ -149,41 +160,27 @@ def as_complete_lattice(p):
         raise EmptyInput("a complete lattice has a nonempty carrier")
     n = p.n
     joins = [[0] * n for _ in range(n)]
-    meets = [[0] * n for _ in range(n)]
-    # deterministic witness: join failures take precedence over meet
-    # failures, and within each pass the largest failing pair is reported
     for i in range(n - 1, -1, -1):
         for j in range(n - 1, i - 1, -1):
             v = p.join_mask((1 << i) | (1 << j))
             if v is None:
                 raise NotALattice((i, j), "join")
             joins[i][j] = joins[j][i] = v
-    for i in range(n - 1, -1, -1):
-        for j in range(n - 1, i - 1, -1):
-            w = p.meet_mask((1 << i) | (1 << j))
-            if w is None:
-                raise NotALattice((i, j), "meet")
-            meets[i][j] = meets[j][i] = w
-    bottom = 0
-    top = 0
-    for i in range(1, n):
-        bottom = meets[bottom][i]
-        top = joins[top][i]
-    return CompleteLattice(p, [tuple(r) for r in joins],
-                           [tuple(r) for r in meets], bottom, top)
+    bottom = p.least_of(p.full_mask())
+    if bottom is None:
+        for i in range(n - 1, -1, -1):
+            for j in range(n - 1, i - 1, -1):
+                if p.meet_mask((1 << i) | (1 << j)) is None:
+                    raise NotALattice((i, j), "meet")
+    return CompleteLattice(p, [tuple(r) for r in joins], bottom,
+                           p.greatest_of(p.full_mask()))
 
 
 # -- separated and chained sets ----------------------------------------------
 
 def is_separated(lat, s):
-    members = list(frozenset(s))
-    if any(x == lat.bottom for x in members):
-        return False
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            if lat.meets[x][y] != lat.bottom:
-                return False
-    return True
+    mask, disj = mask_of(s), lat.disjointness()
+    return all(mask & ~disj[x] == 1 << x for x in iter_bits(mask))
 
 
 def iter_separated_masks(lat, candidates=None):

@@ -19,8 +19,7 @@ from .errors import (
     TheoremViolation,
 )
 from .lattice import CompleteLattice
-from .poset import (Poset, components, iter_pairwise_masks, lower_order,
-                    mask_of, set_of)
+from .poset import Poset, components, iter_pairwise_masks, mask_of, set_of
 
 
 class Chainmail:
@@ -234,7 +233,8 @@ class DLattice:
     of the td-set/subchainmail bijection.  Order: D1 <= D2 iff every
     member of D1 lies below some member of D2.  ``steps[i]`` is
     ``(parent, last)``: td set i is td set ``parent`` plus its highest
-    member ``last``; the empty td set 0 has ``(None, None)``.
+    member ``last``, and their join; the empty td set 0 has
+    ``(None, None)``.
     ``index`` maps each td set's mask to its position.
     """
     chainmail: Chainmail
@@ -261,11 +261,17 @@ class DLattice:
 def d_lattice(g):
     """The lattice of totally disconnected sets, built once per chainmail.
 
-    Joins go through the dictionary (generate the subchainmail of the
-    union of down-closures, take its maximal elements); meets intersect
-    down-closures.  Cost is quadratic in the number of td sets, which is
-    worst-case exponential in the carrier; the family cap guards that.
-    A build that raises keeps nothing.
+    Each td set j is its parent P plus its highest member e, and
+    j = P v {e}: down(j) is already a subchainmail, since members
+    sharing a lower bound would overlap, so each mail inside it lies
+    below one member, and so does its join.  Hence i v j = (i v P) v {e},
+    and row i is one fold along ``steps`` from i.  The singleton join
+    i v {e} is i when e lies below a member of i, and otherwise goes
+    through the dictionary (generate the subchainmail, take its maximal
+    elements), once per (i, e).  The order is read off the joins:
+    i <= j iff i v j = j.  Cost is quadratic in the number of td sets,
+    which is worst-case exponential in the carrier; the family cap guards
+    that.  A build that raises keeps nothing.
     """
     if g._d is not None:
         return g._d
@@ -274,44 +280,38 @@ def d_lattice(g):
                                "totally-disconnected family"))
     k = len(tds)
     index = {m: i for i, m in enumerate(tds)}
-    down = [p.down_closure(m) for m in tds]
-    above = lower_order(tds, down)
-
-    joins = [[0] * k for _ in range(k)]
-    meets = [[0] * k for _ in range(k)]
-    for i in range(k):
-        joins[i][i] = meets[i][i] = i
-        for j in range(i + 1, k):
-            if above[i] >> j & 1:       # i <= j
-                lo, hi = i, j
-            elif above[j] >> i & 1:     # j <= i
-                lo, hi = j, i
-            else:
-                lo_mask = _maximal_of(p, down[i] & down[j])
-                hi_mask = _maximal_of(p, _generate_mask(g, down[i] | down[j]))
-                try:
-                    lo = index[lo_mask]
-                    hi = index[hi_mask]
-                except KeyError:
-                    raise TheoremViolation(
-                        "td-subchainmail-dictionary",
-                        (set_of(tds[i]), set_of(tds[j]))) from None
-            meets[i][j] = meets[j][i] = lo
-            joins[i][j] = joins[j][i] = hi
-
-    labels = ["{" + ",".join(sorted((p.label_of(e) for e in iter_bits(m)))) + "}"
-              for m in tds]
-    dposet = Poset(above, labels)
-    bottom = index[0]
-    top = bottom
-    for i in range(k):
-        top = joins[top][i]
-    lat = CompleteLattice(dposet, [tuple(r) for r in joins],
-                          [tuple(r) for r in meets], bottom, top)
     # sorted order puts each td set after the set less its highest member
     steps = [(None, None)]
     for m in tds[1:]:
         last = m.bit_length() - 1
         steps.append((index[m ^ (1 << last)], last))
+    down = [p.down_closure(m) for m in tds]
+
+    folds = steps[1:]
+    singles = {}
+    joins, above = [], []
+    for i in range(k):
+        row = [i]
+        for parent, e in folds:
+            x = row[parent]
+            if not down[x] >> e & 1:    # else x v {e} = x
+                y = singles.get((x, e))
+                if y is None:
+                    y = index.get(_maximal_of(
+                        p, _generate_mask(g, down[x] | 1 << e)))
+                    if y is None:
+                        raise TheoremViolation(
+                            "td-subchainmail-dictionary",
+                            (set_of(tds[x]), set_of(1 << e)))
+                    singles[x, e] = y
+                x = y
+            row.append(x)
+        joins.append(tuple(row))
+        above.append(sum(1 << j for j, v in enumerate(row) if v == j))
+
+    labels = ["{" + ",".join(sorted((p.label_of(e) for e in iter_bits(m)))) + "}"
+              for m in tds]
+    dposet = Poset(above, labels)
+    lat = CompleteLattice(dposet, joins, 0, dposet.greatest_of((1 << k) - 1))
     g._d = DLattice(g, lat, tuple(tds), tuple(down), tuple(steps), index)
     return g._d

@@ -309,15 +309,14 @@ def powerset_lattice(n, budget=None):
     size = 1 << n
     poset = _inclusion_poset(range(size))
     joins = [tuple(i | j for j in range(size)) for i in range(size)]
-    meets = [tuple(i & j for j in range(size)) for i in range(size)]
-    return CompleteLattice(poset, joins, meets, 0, size - 1)
+    return CompleteLattice(poset, joins, 0, size - 1)
 
 
 def downset_lattice(p, budget=None):
     """The lattice of down-closed subsets of a poset, under inclusion.
 
-    Down-closed sets are closed under union and intersection, so the
-    join and meet tables come straight from the subset masks.
+    Down-closed sets are closed under union, so the join table comes
+    straight from the subset masks.
     """
     _check_ground("down-set ground poset", p.n, budget)
     names = [p.label_of(i) for i in range(p.n)]
@@ -326,8 +325,7 @@ def downset_lattice(p, budget=None):
     size = len(masks)
     poset = _inclusion_poset(masks, names)
     joins = [tuple(index[mi | mj] for mj in masks) for mi in masks]
-    meets = [tuple(index[mi & mj] for mj in masks) for mi in masks]
-    return CompleteLattice(poset, joins, meets, 0, size - 1)
+    return CompleteLattice(poset, joins, 0, size - 1)
 
 
 def counterexample_chainmail():
