@@ -31,7 +31,8 @@ from .errors import (
 )
 from .lattice import CompleteLattice, as_complete_lattice
 from .mails import Chainmail, DLattice, _x_star_mask, as_chainmail, d_lattice
-from .poset import Poset, from_json_dict, pullback, set_of, to_json_dict
+from .poset import (Poset, from_json_dict, order_iso_break, pullback, set_of,
+                    to_json_dict)
 
 @dataclass(frozen=True)
 class KChainmail:
@@ -479,15 +480,11 @@ def unit_eta(g):
         if i is None or i not in k.position:
             raise TheoremViolation("unit-not-defined", x)
         table.append(k.position[i])
-    kp = k.chainmail.poset
-    if len(set(table)) != g.n or kp.n != g.n:
+    broken = order_iso_break(table, g.poset, k.chainmail.poset)
+    if broken == ():
         raise TheoremViolation("unit-not-bijective", tuple(table))
-    up = pullback(table, kp.n, kp.above)
-    for x in range(g.n):
-        bad = g.poset.above[x] ^ up[table[x]]
-        if bad:
-            raise TheoremViolation("unit-not-order-iso",
-                                   (x, next(iter_bits(bad))))
+    if broken is not None:
+        raise TheoremViolation("unit-not-order-iso", broken)
     try:
         return UnitData(validate_map(g, k, table, "chainmail-morphism"), d, k)
     except _LAW_ERRORS as e:
@@ -517,11 +514,7 @@ def counit_epsilon(lat):
 
 def is_epsilon_iso(lat):
     cd = counit_epsilon(lat)
-    table = cd.map.table
-    if len(set(table)) != lat.n or len(table) != lat.n:
-        return False
-    up = pullback(table, lat.n, lat.poset.above)
-    return all(row == up[v] for row, v in zip(cd.d.lattice.poset.above, table))
+    return order_iso_break(cd.map.table, cd.d.lattice.poset, lat.poset) is None
 
 
 # -- the adjunction's laws -----------------------------------------------------
@@ -542,26 +535,30 @@ def _check_inverse(f, g, law, inverse_law):
             raise TheoremViolation(inverse_law, j)
 
 
-def check_triangle_identities(g, lat):
-    """Both triangle identities, witnessed as inverse pairs of tables.
-
-    On the chainmail side, D(unit) and the counit at D(g) must invert each
-    other; on the lattice side, K(counit) and the unit at K(lat) must.
-    """
-    ud = unit_eta(g)
+def chainmail_triangle(ud):
+    """The chainmail side at ``ud``, the unit at g: D(unit) and the
+    counit at D(g) must invert each other.  Returns both tables."""
     cd = counit_epsilon(ud.d.lattice)
     dm = d_on_morphism(ud.map)
     _check_inverse(dm.table, cd.map.table, "triangle-chainmail-side",
                    "triangle-chainmail-side-inverse")
-    chain_side = {"d-of-unit": dm.table, "counit-at-d": cd.map.table}
+    return {"d-of-unit": dm.table, "counit-at-d": cd.map.table}
 
-    cl = counit_epsilon(lat)
-    uk = unit_eta(cl.k.chainmail)
-    ke = k_on_morphism(cl.map)
+
+def lattice_triangle(cd):
+    """The lattice side at ``cd``, the counit at L: K(counit) and the
+    unit at K(L) must invert each other.  Returns both tables."""
+    uk = unit_eta(cd.k.chainmail)
+    ke = k_on_morphism(cd.map)
     _check_inverse(uk.map.table, ke.table, "triangle-lattice-side",
                    "triangle-lattice-side-inverse")
-    lattice_side = {"unit-at-k": uk.map.table, "k-of-counit": ke.table}
-    return TriangleReport(chain_side, lattice_side)
+    return {"unit-at-k": uk.map.table, "k-of-counit": ke.table}
+
+
+def check_triangle_identities(g, lat):
+    """Both triangle identities, witnessed as inverse pairs of tables."""
+    return TriangleReport(chainmail_triangle(unit_eta(g)),
+                          lattice_triangle(counit_epsilon(lat)))
 
 
 @dataclass(frozen=True)
@@ -771,12 +768,14 @@ def connectivity_hom_tables(l1, l2, weak=False):
                for x in range(l1.n)]
     allowed[l1.bottom] = 1 << l2.bottom
     found = _tables(l1.poset, l2.poset, l1.joins, l2.joins, allowed)
-    if weak:
-        yield from found
-    else:
-        broken = _prepare_separated_joins(l1, l2)
-        yield from (t for t in found
-                    if broken(_adjoint_table(t, l1, l2)) is None)
+    yield from found if weak else strict_homs(l1, l2, found)
+
+
+def strict_homs(l1, l2, weak_homs):
+    """The strict connectivity homs among weak hom tables l1 -> l2, lazily:
+    those whose right adjoint keeps the join of every separated set."""
+    broken = _prepare_separated_joins(l1, l2)
+    return (t for t in weak_homs if broken(_adjoint_table(t, l1, l2)) is None)
 
 
 # -- interchange ---------------------------------------------------------------

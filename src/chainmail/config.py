@@ -4,9 +4,11 @@ All the constructions here are exponential in the worst case; desk scale
 is the target.  The family cap is one constant, read at call time,
 because most families it bounds are cached on their structures; each
 family is capped by :func:`capped` where it is walked, and the cap also
-bounds the candidate up-sets of a representation search.  Every other
-budget can be overridden per call, and the poset cap also via the
-CHAINMAIL_BUDGET environment variable.
+bounds the candidate up-sets of a representation search.  The table cap
+bounds the cells of D's join table, the square of its td sets, before
+it is filled.  Neither can be overridden.  Every other budget can be
+overridden per call, and the poset cap also via the CHAINMAIL_BUDGET
+environment variable.
 """
 
 import os
@@ -15,6 +17,7 @@ from .errors import ChainmailError, SizeBudgetExceeded
 
 DEFAULT_POSET_CAP = 24        # validated input posets
 DEFAULT_FAMILY_CAP = 1 << 16  # materialized set families (td sets, separated sets)
+TABLE_CELL_CAP = 1 << 26      # cells of D's join table (td sets squared)
 DEFAULT_ENUM_CAP = 12         # exhaustive generation
 DEFAULT_GROUND_CAP = 5        # ground sets of graphs, topologies, spaces
 

@@ -45,7 +45,7 @@ from .errors import (
     TheoremViolation,
 )
 from .poset import (Poset, components, iter_pairwise_masks, lower_order,
-                    mask_of, pullback, set_of)
+                    mask_of, order_iso_break, set_of)
 
 
 class CompleteLattice:
@@ -350,16 +350,8 @@ def nu_classification(lat):
     raises TheoremViolation since the theory rules it out.
     """
     sp = separation_poset(lat)
-    image = set(sp.nu)
-    surjective = len(image) == lat.n
-    injective = len(image) == len(sp.nu)
-    order_iso = False
-    if surjective and injective:
-        # reflects order: join(S1) <= join(S2) implies S1 <= S2
-        up = pullback(sp.nu, lat.n, lat.poset.above)
-        order_iso = not any(up[v] & ~row
-                            for v, row in zip(sp.nu, sp.poset.above))
-    if order_iso:
+    surjective = len(set(sp.nu)) == lat.n
+    if order_iso_break(sp.nu, sp.poset, lat.poset) is None:
         verdict = "iso"
     elif surjective:
         verdict = "surjective-not-iso"

@@ -16,6 +16,7 @@ from .errors import (
     AxiomViolation,
     NotAChainmail,
     NotMailConnected,
+    SizeBudgetExceeded,
     TheoremViolation,
 )
 from .lattice import CompleteLattice
@@ -264,14 +265,16 @@ def d_lattice(g):
     Each td set j is its parent P plus its highest member e, and
     j = P v {e}: down(j) is already a subchainmail, since members
     sharing a lower bound would overlap, so each mail inside it lies
-    below one member, and so does its join.  Hence i v j = (i v P) v {e},
-    and row i is one fold along ``steps`` from i.  The singleton join
-    i v {e} is i when e lies below a member of i, and otherwise goes
+    below one member, and so does its join.  Hence i v j = (i v P) v {e}:
+    row i copies its cells j < i from the earlier rows, the table being
+    symmetric, and folds the rest along ``steps`` from i.  The singleton
+    join i v {e} is i when e lies below a member of i, and otherwise goes
     through the dictionary (generate the subchainmail, take its maximal
     elements), once per (i, e).  The order is read off the joins:
     i <= j iff i v j = j.  Cost is quadratic in the number of td sets,
-    which is worst-case exponential in the carrier; the family cap guards
-    that.  A build that raises keeps nothing.
+    which is worst-case exponential in the carrier; the family cap
+    bounds the sets, and ``config.TABLE_CELL_CAP`` the table.  A build
+    that raises keeps nothing.
     """
     if g._d is not None:
         return g._d
@@ -279,6 +282,9 @@ def d_lattice(g):
     tds = sorted(config.capped(iter_td_masks(g),
                                "totally-disconnected family"))
     k = len(tds)
+    if k * k > config.TABLE_CELL_CAP:
+        raise SizeBudgetExceeded("td-set join table", k * k,
+                                 config.TABLE_CELL_CAP)
     index = {m: i for i, m in enumerate(tds)}
     # sorted order puts each td set after the set less its highest member
     steps = [(None, None)]
@@ -287,12 +293,12 @@ def d_lattice(g):
         steps.append((index[m ^ (1 << last)], last))
     down = [p.down_closure(m) for m in tds]
 
-    folds = steps[1:]
     singles = {}
     joins, above = [], []
     for i in range(k):
-        row = [i]
-        for parent, e in folds:
+        row = [joins[j][i] for j in range(i)]
+        row.append(i)
+        for parent, e in steps[i + 1:]:
             x = row[parent]
             if not down[x] >> e & 1:    # else x v {e} = x
                 y = singles.get((x, e))

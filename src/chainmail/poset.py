@@ -42,6 +42,20 @@ def pullback(table, n, rows):
     return out
 
 
+def order_iso_break(table, p, q):
+    """None when ``table`` is an order-isomorphism of p onto q; ``()``
+    when it is no bijection; else the first pair (x, y), x-major, where
+    x <= y and table[x] <= table[y] disagree."""
+    if len(table) != q.n or len(set(table)) != q.n:
+        return ()
+    up = pullback(table, q.n, q.above)
+    for x, v in enumerate(table):
+        bad = p.above[x] ^ up[v]
+        if bad:
+            return x, next(iter_bits(bad))
+    return None
+
+
 def lower_order(masks, downs):
     """Up-set rows of the family order: i <= j iff ``masks[i]`` lies inside
     ``downs[j]``, the down-closure of ``masks[j]`` (or ``masks[j]`` itself)."""

@@ -161,23 +161,16 @@ def suite_unit_counit(max_size=None):
     return report
 
 
-def _bijection(g, lat, readings):
-    """Hom-set bijection for one pair, in each reading (a ``weak``
-    value) of ``readings``, from one pass of transposes.
+def _transposes(eta, eps):
+    """The chainmail morphisms f: g -> K(L) and their transposes
+    D(g) -> L, for the unit ``eta`` at g and the counit ``eps`` at L.
 
-    Each chainmail morphism f: g -> K(lat) is transposed once, to the
-    counit after D(f), and taken back once, to K of the transpose after
-    the unit, which must give f: transposing has a left inverse, so it
-    is one-to-one.  Both go through the lazy batches
-    ``category.d_on_tables`` and ``category.k_on_tables``, so one
-    table's checks finish before the next starts.  In each reading every
-    transpose must lie in the homs D(g) -> lat, and the hom sets must
-    have the same size: a one-to-one map into a finite set of its own
-    size is onto.  Returns that size; raises TheoremViolation otherwise.
+    Each f is transposed once, to the counit after D(f), and taken back
+    once, to K of the transpose after the unit, which must give f: so
+    transposing is one-to-one.  Both go through the lazy batches
+    ``category.d_on_tables`` and ``category.k_on_tables``.
     """
-    eps = category.counit_epsilon(lat)
-    eta = category.unit_eta(g)
-    k, d = eps.k, eta.d
+    g, d, k = eta.d.chainmail, eta.d, eps.k
     left = list(category.chainmail_morphism_tables(g, k.chainmail))
     counit, unit = eps.map.table, eta.map.table
     images = []
@@ -187,63 +180,95 @@ def _bijection(g, lat, readings):
             images.append(tuple([counit[v] for v in df]))
             yield images[-1]
 
-    for f, back in zip(left, category.k_on_tables(d, lat, transposes())):
+    for f, back in zip(left, category.k_on_tables(d, k.lattice,
+                                                  transposes())):
         roundtrip = tuple([back[v] for v in unit])
         if roundtrip != f:
             raise TheoremViolation("transpose-roundtrip", (f, roundtrip))
-    for weak in readings:
-        right = list(category.connectivity_hom_tables(d.lattice, lat,
-                                                      weak=weak))
-        homs = set(right)
-        for f, image in zip(left, images):
-            if image not in homs:
-                raise TheoremViolation("transpose-not-a-hom", (f, image))
-        if len(right) != len(left):
-            reached = set(images)
-            # with every hom reached, the search repeated a table
-            raise TheoremViolation("transpose-not-onto", next(
-                (h for h in right if h not in reached),
-                (len(left), len(right))))
+    return left, images
+
+
+def _onto(left, images, right):
+    """The common size, when the hom list ``right`` holds every
+    transpose and has as many entries as ``left``: a one-to-one map
+    into a finite set of its own size is onto."""
+    homs = set(right)
+    for f, image in zip(left, images):
+        if image not in homs:
+            raise TheoremViolation("transpose-not-a-hom", (f, image))
+    if len(right) != len(left):
+        reached = set(images)
+        # with every hom reached, the search repeated a table
+        raise TheoremViolation("transpose-not-onto", next(
+            (h for h in right if h not in reached),
+            (len(left), len(right))))
     return len(left)
 
 
 def check_adjunction_bijection(g, lat, weak=False):
     """Hom-set bijection for one pair, strict or (with ``weak``) weak:
     returns the common hom-set size, and raises TheoremViolation on any
-    mismatch (see ``_bijection``)."""
-    return _bijection(g, lat, (weak,))
+    mismatch (see ``_transposes`` and ``_onto``)."""
+    eps = category.counit_epsilon(lat)
+    eta = category.unit_eta(g)
+    left, images = _transposes(eta, eps)
+    return _onto(left, images, list(category.connectivity_hom_tables(
+        eta.d.lattice, lat, weak=weak)))
+
+
+def _with_triangle(report, s, build, triangle, what):
+    """``(name, build(s))``, the unit or counit at ``s``, once its
+    triangle identity is checked; None if the build fails.  Violations
+    are recorded under ``s``'s name."""
+    name = _poset_name(s.poset)
+    try:
+        data = build(s)
+    except TheoremViolation as e:
+        report.record(name, f"{what} ({e.law})", e.witness)
+        return None
+    try:
+        triangle(data)
+    except TheoremViolation as e:
+        report.record(name, f"triangle identity ({e.law})", e.witness)
+    return name, data
 
 
 def suite_adjunction(max_size=None):
     """Hom-set bijection and triangle identities over all small pairs.
 
     Pairs every enumerated chainmail up to the chainmail bound with
-    every enumerated complete lattice one element larger at most,
-    checking the hom-set bijection plus both triangle identities.  One
-    pass of transposes serves the strict reading and then the weak one,
-    so a pair that passes has as many strict homs as weak ones: the
-    transposes are both.
+    every enumerated complete lattice one element larger at most.  The
+    unit and its triangle identity are checked once per chainmail, and
+    the counit and its triangle once per lattice.  Each pair makes one
+    pass of transposes and one weak hom search; the strict homs among
+    the weak ones are the strict reading.  So a pair that passes has as
+    many strict homs as weak ones: the transposes are both.
     """
     g_bound = _bound(max_size, 4)
     l_bound = g_bound + 1
     report = SuiteReport(
         "adjunction", f"chainmails n<={g_bound} x lattices n<={l_bound}")
     posets = posets_up_to(l_bound, "chainmails")
-    ls = _lattices(posets)
+    counits = [_with_triangle(report, lat, category.counit_epsilon,
+                              category.lattice_triangle, "counit")
+               for lat in _lattices(posets)]
     for g in (as_chainmail(p) for p in posets if p.n <= g_bound):
-        gname = _poset_name(g.poset)
-        for lat in ls:
+        unit = _with_triangle(report, g, category.unit_eta,
+                              category.chainmail_triangle, "unit")
+        for counit in counits:
             report.checked += 1
-            pair = f"{gname} / {_poset_name(lat.poset)}"
-            try:
-                _bijection(g, lat, (False, True))
-            except TheoremViolation as e:
-                report.record(pair, f"hom bijection ({e.law})", e.witness)
+            if unit is None or counit is None:
                 continue
+            (gname, eta), (lname, eps) = unit, counit
+            d, lat = eta.d.lattice, eps.k.lattice
             try:
-                category.check_triangle_identities(g, lat)
+                left, images = _transposes(eta, eps)
+                weak = list(category.connectivity_hom_tables(d, lat,
+                                                             weak=True))
+                _onto(left, images, list(category.strict_homs(d, lat, weak)))
+                _onto(left, images, weak)
             except TheoremViolation as e:
-                report.record(pair, f"triangle identity ({e.law})",
+                report.record(f"{gname} / {lname}", f"hom bijection ({e.law})",
                               e.witness)
     return report
 

@@ -195,6 +195,17 @@ def test_check_rejects_malformed_cover(cover, tmp_path, capsys):
     assert out.startswith("poset: no (json-shape violated")
 
 
+def test_dlattice_past_the_table_cap_is_an_error(tmp_path, capsys):
+    """A 16-element antichain has 65536 td sets, within the family cap;
+    their join table of 2^32 cells is refused before it is filled."""
+    f = write_json(tmp_path / "a16.json",
+                   {"elements": [f"a{i}" for i in range(16)], "covers": []})
+    assert main(["dlattice", f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: td-set join table needs")
+
+
 def test_budget_env_must_be_an_integer(cx_file, capsys, monkeypatch):
     monkeypatch.setenv("CHAINMAIL_BUDGET", "abc")
     assert main(["render", cx_file]) == 1

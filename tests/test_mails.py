@@ -297,6 +297,18 @@ def test_d_lattice_cap(monkeypatch):
     assert len(d_lattice(g).td_sets) == 32
 
 
+def test_d_lattice_table_cap(monkeypatch):
+    """D's join table is budgeted before it is filled: 32 td sets need
+    1024 cells, and the table cap alone decides."""
+    g = mk_mail(5, [])
+    with monkeypatch.context() as m:
+        m.setattr(config, "TABLE_CELL_CAP", 1023)
+        with pytest.raises(SizeBudgetExceeded) as e:
+            d_lattice(g)
+    assert (e.value.size, e.value.budget) == (1024, 1023)
+    assert len(d_lattice(g).td_sets) == 32
+
+
 def test_d_lattice_steps_match_td_sets():
     """Each td set's step names the set less its highest member, at an
     earlier index, the index finds each td set at its position, and

@@ -237,3 +237,44 @@ def test_suite_checks_the_weak_reading(monkeypatch):
     report = run_suite("adjunction", 2)
     assert "hom bijection (transpose-not-onto)" in \
         {v["law"] for v in report.violations}
+
+
+def test_adjunction_checks_each_law_once_per_structure(monkeypatch):
+    """35 pairs of 5 chainmails and 7 lattices: the unit is built once
+    per chainmail and once per lattice (at K(L), for the lattice-side
+    triangle), the counit likewise, and each pair runs one hom search."""
+    calls = dict.fromkeys(
+        ["unit_eta", "counit_epsilon", "connectivity_hom_tables"], 0)
+
+    def counted(name):
+        real = getattr(category, name)
+
+        def fake(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return fake
+
+    for name in calls:
+        monkeypatch.setattr(category, name, counted(name))
+    report = run_suite("adjunction", 3)
+    assert report.ok() and report.checked == 35
+    assert calls == {"unit_eta": 12, "counit_epsilon": 12,
+                     "connectivity_hom_tables": 35}
+
+
+def test_k_on_morphism_mutation_breaks_a_triangle(monkeypatch):
+    """K of the counit with two values swapped no longer inverts the unit
+    at K(L), which only the lattice-side triangle reads."""
+    real = category.k_on_morphism
+
+    def fake(f):
+        km = real(f)
+        table = list(km.table)
+        if len(table) >= 2:
+            table[0], table[1] = table[1], table[0]
+        return dataclasses.replace(km, table=tuple(table))
+
+    monkeypatch.setattr(category, "k_on_morphism", fake)
+    report = run_suite("adjunction", 3)
+    assert any(v["law"].startswith("triangle identity (")
+               for v in report.violations)
