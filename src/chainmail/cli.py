@@ -284,7 +284,7 @@ def main(argv=None):
     except ChainmailError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

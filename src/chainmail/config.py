@@ -2,18 +2,18 @@
 
 All the constructions here are exponential in the worst case; desk scale
 is the target.  The family cap is one constant, read at call time,
-because most families it bounds are cached on their structures; each
-family is capped by :func:`capped` where it is walked, and the cap also
-bounds the candidate up-sets of a representation search.  The table cap
-bounds the cells of D's join table, the square of its td sets, before
-it is filled.  Neither can be overridden.  Every other budget can be
-overridden per call, and the poset cap also via the CHAINMAIL_BUDGET
-environment variable.
+because most families it bounds are cached on their structures; every
+family walk (:func:`chainmail.poset.pairwise_family`) stops one set
+past it, and it also bounds the candidate up-sets of a representation
+search.  The table cap bounds the cells of D's join table, the square
+of its td sets, before it is filled.  Neither can be overridden.
+Every other budget can be overridden per call, and the poset cap also
+via the CHAINMAIL_BUDGET environment variable.
 """
 
 import os
 
-from .errors import ChainmailError, SizeBudgetExceeded
+from .errors import ChainmailError
 
 DEFAULT_POSET_CAP = 24        # validated input posets
 DEFAULT_FAMILY_CAP = 1 << 16  # materialized set families (td sets, separated sets)
@@ -36,15 +36,6 @@ def poset_cap(override=None):
         raise ChainmailError(
             f"CHAINMAIL_BUDGET must be an integer, at least 0, got {env!r}")
     return cap
-
-
-def capped(items, what):
-    """Yield ``items``; raise SizeBudgetExceeded at one past the cap."""
-    cap = DEFAULT_FAMILY_CAP
-    for count, item in enumerate(items, 1):
-        if count > cap:
-            raise SizeBudgetExceeded(what, count, cap)
-        yield item
 
 
 def enum_cap(override=None):

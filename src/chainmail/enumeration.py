@@ -474,7 +474,7 @@ def _entry_fields(p):
         g = as_chainmail(p)
     except NotAChainmail:
         return False, False, None
-    return True, _mail_connected(g), sum(1 for _ in iter_td_masks(g))
+    return True, _mail_connected(g), len(iter_td_masks(g))
 
 
 def emit_catalog(task, out_dir, budget=None):

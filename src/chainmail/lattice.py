@@ -36,7 +36,6 @@ empty separated set refutes the separated two.
 
 from dataclasses import dataclass
 
-from . import config
 from .canonical import iter_bits
 from .errors import (
     EmptyInput,
@@ -44,8 +43,8 @@ from .errors import (
     NotLocallyConnectedBelow,
     TheoremViolation,
 )
-from .poset import (Poset, components, iter_pairwise_masks, lower_order,
-                    mask_of, order_iso_break, set_of)
+from .poset import (Poset, components, lower_order, mask_of, order_iso_break,
+                    pairwise_family, set_of)
 
 
 class CompleteLattice:
@@ -119,18 +118,13 @@ class CompleteLattice:
         SizeBudgetExceeded.
         """
         if self._separated is None:
-            joins = self.joins
-            index = {}
-            out = []
-            for m in config.capped(iter_separated_masks(self),
-                                   "separated-set family"):
-                index[m] = len(out)
-                if m:
-                    last = m.bit_length() - 1
-                    parent = index[m ^ (1 << last)]
-                    out.append((m, joins[out[parent][1]][last], parent, last))
-                else:
-                    out.append((0, self.bottom, None, None))
+            joins, bottom = self.joins, self.bottom
+            masks, steps = pairwise_family(
+                self.disjointness(), self.poset.full_mask() & ~(1 << bottom),
+                "separated-set family")
+            out = [(0, bottom, None, None)]
+            for m, (parent, last) in zip(masks[1:], steps[1:]):
+                out.append((m, joins[out[parent][1]][last], parent, last))
             self._separated = tuple(out)
         return self._separated
 
@@ -185,12 +179,11 @@ def is_separated(lat, s):
 
 def iter_separated_masks(lat, candidates=None):
     """Every separated subset of ``candidates`` (default: all nonzero
-    elements) as a bitmask, in the order of :func:`iter_pairwise_masks`."""
+    elements) as a bitmask, in the order of :func:`pairwise_family`."""
     if candidates is None:
-        candidates = lat.poset.full_mask() & ~(1 << lat.bottom)
-    else:
-        candidates &= ~(1 << lat.bottom)
-    return iter_pairwise_masks(lat.disjointness(), candidates)
+        candidates = lat.poset.full_mask()
+    return pairwise_family(lat.disjointness(), candidates & ~(1 << lat.bottom),
+                           "separated-set family")[0]
 
 
 def _chained_components(lat, mask):
@@ -327,9 +320,7 @@ class SeparationPoset:
 
 
 def separation_poset(lat):
-    masks = sorted(config.capped(
-        iter_separated_masks(lat, lat.connected_mask()),
-        "separated-set family"))
+    masks = sorted(iter_separated_masks(lat, lat.connected_mask()))
     down = [lat.poset.down_closure(m) for m in masks]
     poset = Poset(lower_order(masks, down))
     for i in range(len(masks)):

@@ -20,7 +20,8 @@ from .errors import (
     TheoremViolation,
 )
 from .lattice import CompleteLattice
-from .poset import Poset, components, iter_pairwise_masks, mask_of, set_of
+from .poset import (Poset, components, lower_order, mask_of,
+                    pairwise_family, set_of)
 
 
 class Chainmail:
@@ -220,9 +221,10 @@ def _maximal_of(p, mask):
 
 
 def iter_td_masks(g):
-    """All totally disconnected sets of ``g`` as bitmasks, by backtracking."""
-    return iter_pairwise_masks(tuple(~o for o in g.overlap),
-                               g.poset.full_mask())
+    """All totally disconnected sets of ``g`` as bitmasks, in the order of
+    :func:`pairwise_family`."""
+    return pairwise_family(tuple(~o for o in g.overlap), g.poset.full_mask(),
+                           "totally-disconnected family")[0]
 
 
 @dataclass(frozen=True)
@@ -270,17 +272,16 @@ def d_lattice(g):
     symmetric, and folds the rest along ``steps`` from i.  The singleton
     join i v {e} is i when e lies below a member of i, and otherwise goes
     through the dictionary (generate the subchainmail, take its maximal
-    elements), once per (i, e).  The order is read off the joins:
-    i <= j iff i v j = j.  Cost is quadratic in the number of td sets,
-    which is worst-case exponential in the carrier; the family cap
-    bounds the sets, and ``config.TABLE_CELL_CAP`` the table.  A build
-    that raises keeps nothing.
+    elements), once per (i, e).  The order is read off the
+    subchainmails by :func:`lower_order`.  Cost is quadratic in the
+    number of td sets, which is worst-case exponential in the carrier;
+    the family cap bounds the sets, and ``config.TABLE_CELL_CAP`` the
+    table.  A build that raises keeps nothing.
     """
     if g._d is not None:
         return g._d
     p = g.poset
-    tds = sorted(config.capped(iter_td_masks(g),
-                               "totally-disconnected family"))
+    tds = sorted(iter_td_masks(g))
     k = len(tds)
     if k * k > config.TABLE_CELL_CAP:
         raise SizeBudgetExceeded("td-set join table", k * k,
@@ -294,7 +295,7 @@ def d_lattice(g):
     down = [p.down_closure(m) for m in tds]
 
     singles = {}
-    joins, above = [], []
+    joins = []
     for i in range(k):
         row = [joins[j][i] for j in range(i)]
         row.append(i)
@@ -313,11 +314,10 @@ def d_lattice(g):
                 x = y
             row.append(x)
         joins.append(tuple(row))
-        above.append(sum(1 << j for j, v in enumerate(row) if v == j))
 
     labels = ["{" + ",".join(sorted((p.label_of(e) for e in iter_bits(m)))) + "}"
               for m in tds]
-    dposet = Poset(above, labels)
+    dposet = Poset(lower_order(tds, down), labels)
     lat = CompleteLattice(dposet, joins, 0, dposet.greatest_of((1 << k) - 1))
     g._d = DLattice(g, lat, tuple(tds), tuple(down), tuple(steps), index)
     return g._d

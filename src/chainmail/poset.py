@@ -58,36 +58,51 @@ def order_iso_break(table, p, q):
 
 def lower_order(masks, downs):
     """Up-set rows of the family order: i <= j iff ``masks[i]`` lies inside
-    ``downs[j]``, the down-closure of ``masks[j]`` (or ``masks[j]`` itself)."""
+    ``downs[j]``, the down-closure of ``masks[j]`` (or ``masks[j]`` itself).
+    Row i is the meet, over the members e of ``masks[i]``, of the columns
+    of ``downs`` that hold e: one mask operation per member."""
+    holding = transpose(max([0, *masks, *downs]).bit_length(), downs)
+    full = (1 << len(downs)) - 1
     above = []
     for m in masks:
-        row = 0
-        for j, d in enumerate(downs):
-            if m & d == m:
-                row |= 1 << j
+        row = full
+        for e in iter_bits(m):
+            row &= holding[e]
         above.append(row)
     return above
 
 
-def iter_pairwise_masks(beside, candidates):
+def pairwise_family(beside, candidates, what):
     """Every subset of ``candidates`` whose members are pairwise allowed
-    together, as a bitmask; ``beside[e]`` is the mask of elements allowed
-    together with e.
+    together, ``beside[e]`` being the mask of elements allowed with e, as
+    ``(masks, steps)``.
 
-    Subsets are emitted in subset-of-candidates order (empty set first);
-    each extends an earlier one, which makes the family easy to cap while
-    streaming.
+    One depth-first walk, empty set first, grows each set by one member
+    above its highest, lowest first.  ``steps[i]`` is ``(parent, last)``:
+    set i is the earlier set ``parent`` plus its highest member ``last``;
+    the empty set has ``(None, None)``.  More than
+    ``config.DEFAULT_FAMILY_CAP`` sets raise SizeBudgetExceeded(what, ...).
     """
-    def walk(cur, allowed):
-        yield cur
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            e = low.bit_length() - 1
-            rest ^= low
-            yield from walk(cur | low, rest & beside[e])
-
-    yield from walk(0, candidates)
+    cap = config.DEFAULT_FAMILY_CAP
+    masks, steps = [0], [(None, None)]
+    grown, rests = [0], [candidates]  # each open set and what it may take
+    while rests:
+        rest = rests[-1]
+        if not rest:
+            grown.pop()
+            rests.pop()
+            continue
+        low = rest & -rest
+        rest ^= low
+        rests[-1] = rest
+        if len(masks) == cap:
+            raise SizeBudgetExceeded(what, cap + 1, cap)
+        e, parent = low.bit_length() - 1, grown[-1]
+        steps.append((parent, e))
+        grown.append(len(masks))
+        masks.append(masks[parent] | low)
+        rests.append(rest & beside[e])
+    return masks, steps
 
 
 def components(touch, mask):
@@ -312,16 +327,7 @@ def validate_poset(size, pairs, mode="covers", labels=None, budget=None):
             if a == b:
                 raise CycleDetected([a])
             succ[a] |= 1 << b
-        order = _topological_order(size, succ)
-        if order is None:
-            raise CycleDetected(_find_cycle(size, succ))
-        above = [0] * size
-        for i in reversed(order):
-            row = 1 << i
-            for j in iter_bits(succ[i]):
-                row |= above[j]
-            above[i] = row
-        return Poset(above, labels)
+        return Poset(_closure(size, succ), labels)
 
     if mode == "full-relation":
         above = [0] * size
@@ -347,48 +353,37 @@ def validate_poset(size, pairs, mode="covers", labels=None, budget=None):
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _topological_order(size, succ):
-    indeg = [0] * size
-    for i in range(size):
-        for j in iter_bits(succ[i]):
-            indeg[j] += 1
-    ready = [i for i in range(size) if indeg[i] == 0]
-    order = []
-    while ready:
-        i = ready.pop()
-        order.append(i)
-        for j in iter_bits(succ[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    return order if len(order) == size else None
-
-
-def _find_cycle(size, succ):
-    # walk forward from a node on a cycle until a repeat appears
-    state = [0] * size  # 0 fresh, 1 active, 2 done
-    stack = []
-
-    def dfs(v):
-        state[v] = 1
-        stack.append(v)
-        for w in iter_bits(succ[v]):
-            if state[w] == 1:
-                return stack[stack.index(w):]
-            if state[w] == 0:
-                found = dfs(w)
-                if found is not None:
-                    return found
-        stack.pop()
-        state[v] = 2
-        return None
-
-    for v in range(size):
-        if state[v] == 0:
-            cyc = dfs(v)
-            if cyc is not None:
-                return cyc
-    return []
+def _closure(size, succ):
+    """Up-set rows of the reflexive-transitive closure of the digraph
+    ``succ``, by one depth-first pass: roots from 0 up, successors
+    ascending, each row closed as its node is left.  The first back edge
+    raises CycleDetected with the path from its target."""
+    above = [0] * size  # 0 until the node is left
+    for root in range(size):
+        if above[root]:
+            continue
+        path, rests, active = [root], [succ[root]], 1 << root
+        while path:
+            rest = rests[-1]
+            if rest:
+                low = rest & -rest
+                rests[-1] = rest ^ low
+                w = low.bit_length() - 1
+                if low & active:
+                    raise CycleDetected(path[path.index(w):])
+                if not above[w]:
+                    path.append(w)
+                    rests.append(succ[w])
+                    active |= low
+                continue
+            v = path.pop()
+            rests.pop()
+            active ^= 1 << v
+            row = 1 << v
+            for w in iter_bits(succ[v]):
+                row |= above[w]
+            above[v] = row
+    return above
 
 
 # -- convenience wrappers over sets of indices ------------------------------

@@ -509,6 +509,39 @@ def downset_masks(n, rows):
     return out
 
 
+# -- set families and closures --------------------------------------------------
+
+def iter_pairwise_masks(beside, candidates):
+    """The reference walk of a pairwise family, by recursion: every subset
+    of ``candidates`` whose members are pairwise allowed together, where
+    ``beside[e]`` is the mask of elements allowed with e.  Each set is
+    yielded before the sets that extend it by one higher member, lowest
+    such member first; the empty set comes first."""
+    def walk(cur, allowed):
+        yield cur
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            e = low.bit_length() - 1
+            rest ^= low
+            yield from walk(cur | low, rest & beside[e])
+
+    yield from walk(0, candidates)
+
+
+def transitive_closure(n, succ):
+    """Reflexive-transitive closure rows of the digraph whose edges from
+    i are the bits of ``succ[i]``, by Warshall's triple loop over a
+    boolean matrix."""
+    reach = [[i == j or bool(succ[i] >> j & 1) for j in range(n)]
+             for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    return [sum(1 << j for j in range(n) if reach[i][j]) for i in range(n)]
+
+
 # -- the census the long way ----------------------------------------------------
 
 def classify_by_full_walk(posets):

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import chainmail
-from chainmail import verify
+from chainmail import sources, verify
 from chainmail.category import k_chainmail
 from chainmail.cli import main
 from chainmail.mails import d_lattice
@@ -204,6 +205,48 @@ def test_dlattice_past_the_table_cap_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: td-set join table needs")
+
+
+def test_check_long_cycle_is_a_no(tmp_path, capsys):
+    """A 3000-element directed cycle is found by the iterative closure, not
+    by a recursion past the interpreter's depth limit."""
+    n = 3000
+    f = write_json(tmp_path / "cyc.json",
+                   {"elements": [f"c{i}" for i in range(n)],
+                    "covers": [[f"c{i}", f"c{(i + 1) % n}"]
+                               for i in range(n)]})
+    t0 = time.monotonic()
+    assert main(["check", f, "--budget", "5000"]) == 1
+    assert time.monotonic() - t0 < 10
+    assert capsys.readouterr().out.startswith(
+        "poset: no (cover relation contains a cycle through (0, 1, 2,")
+
+
+def test_dlattice_past_the_family_cap_is_an_error(tmp_path, capsys):
+    """A 1500-element antichain stops one td set past the family cap."""
+    f = write_json(tmp_path / "a1500.json",
+                   {"elements": [f"a{i}" for i in range(1500)],
+                    "covers": []})
+    t0 = time.monotonic()
+    assert main(["dlattice", f, "--budget", "2000"]) == 1
+    assert time.monotonic() - t0 < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: totally-disconnected family needs "
+                            "65537 > budget 65536\n")
+
+
+def test_recursion_error_is_an_error(cx_file, capsys, monkeypatch):
+    """A search that recurses past the interpreter's limit exits 1 with a
+    message, like any other failed run."""
+    def deep(g, max_points):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(sources, "search_connectivity_representation", deep)
+    assert main(["represent", cx_file, "--max-points", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: maximum recursion depth exceeded\n"
 
 
 def test_budget_env_must_be_an_integer(cx_file, capsys, monkeypatch):

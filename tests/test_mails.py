@@ -297,6 +297,17 @@ def test_d_lattice_cap(monkeypatch):
     assert len(d_lattice(g).td_sets) == 32
 
 
+def test_td_family_cap_boundary():
+    """The 16-element antichain's 65536 td sets fill the family cap and
+    are admitted; a top above them adds one more set, which raises."""
+    assert config.DEFAULT_FAMILY_CAP == 65536
+    assert len(iter_td_masks(mk_mail(16, []))) == 65536
+    with pytest.raises(SizeBudgetExceeded) as e:
+        iter_td_masks(mk_mail(17, [(i, 16) for i in range(16)]))
+    assert (e.value.what, e.value.size, e.value.budget) == \
+        ("totally-disconnected family", 65537, 65536)
+
+
 def test_d_lattice_table_cap(monkeypatch):
     """D's join table is budgeted before it is filled: 32 td sets need
     1024 cells, and the table cap alone decides."""

@@ -14,8 +14,13 @@ from chainmail.errors import (
     EmptyInput,
     SizeBudgetExceeded,
 )
+from chainmail.lattice import NotALattice, as_complete_lattice, \
+    iter_separated_masks
+from chainmail.mails import as_chainmail, d_lattice, iter_td_masks, \
+    poset_is_chainmail
 from chainmail.poset import (
     Poset,
+    _closure,
     _down_closed_masks,
     canonical_form,
     covers,
@@ -24,7 +29,9 @@ from chainmail.poset import (
     is_isomorphic,
     join_of,
     lower_bounds,
+    lower_order,
     meet_of,
+    pairwise_family,
     to_dot,
     to_json_dict,
     upper_bounds,
@@ -112,6 +119,102 @@ def test_size_budget():
 def test_unknown_mode():
     with pytest.raises(ValueError):
         validate_poset(1, [], mode="nonsense")
+
+
+def test_cycle_witness_starts_at_the_back_edge_target():
+    """The walk enters the cycle 1 -> 2 -> 1 from 0; the witness is the
+    cycle alone, from the node the back edge returns to."""
+    with pytest.raises(CycleDetected) as e:
+        validate_poset(4, [(3, 0), (0, 1), (1, 2), (2, 1)])
+    assert e.value.cycle == (1, 2)
+
+
+def _random_digraphs(count, seed):
+    """Seeded random digraphs on 1..9 nodes without loops, as successor
+    masks; edges run mostly upward, so about half are acyclic."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        density = rng.choice((0.1, 0.2, 0.35))
+        yield n, [sum(1 << j for j in range(n)
+                      if j != i and rng.random() < density * (
+                          1 if i < j else 0.3))
+                  for i in range(n)]
+
+
+def test_closure_matches_brute_force():
+    """On random digraphs up to 9 nodes, the one-pass closure gives
+    Warshall's rows for each acyclic digraph, and for each cyclic one a
+    witness that is a cycle: each step an edge, the last node back to
+    the first, no node twice."""
+    seen = {False: 0, True: 0}
+    for n, succ in _random_digraphs(3000, 30):
+        rows = oracles.transitive_closure(n, succ)
+        cyclic = any(rows[j] >> i & 1 for i in range(n) for j in range(n)
+                     if j != i and rows[i] >> j & 1)
+        seen[cyclic] += 1
+        if not cyclic:
+            assert _closure(n, succ) == rows
+            continue
+        with pytest.raises(CycleDetected) as e:
+            _closure(n, succ)
+        cycle = e.value.cycle
+        assert len(set(cycle)) == len(cycle) >= 2
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert succ[a] >> b & 1
+    assert min(seen.values()) > 500
+
+
+def _check_pairwise_family(beside, candidates):
+    """Assert that the walk lists the reference walk's sets in its order,
+    each with the earlier set less its highest member; return the sets."""
+    masks, steps = pairwise_family(beside, candidates, "family")
+    assert masks == list(oracles.iter_pairwise_masks(beside, candidates))
+    assert steps[0] == (None, None)
+    for i in range(1, len(masks)):
+        parent, last = steps[i]
+        assert last == masks[i].bit_length() - 1
+        assert parent < i and masks[parent] == masks[i] ^ (1 << last)
+    return masks
+
+
+def test_pairwise_family_matches_reference_walk():
+    """The td families of the chainmails n<=6 and of the antichains up to
+    10, and the separated families of the lattices n<=7 and of D of the
+    chainmails n<=5, each against the reference walk."""
+    chainmails = [as_chainmail(validate_poset(n, [])) for n in range(1, 11)]
+    lattices = []
+    for p in posets_up_to(7):
+        if p.n <= 6 and poset_is_chainmail(p):
+            chainmails.append(as_chainmail(p))
+            if p.n <= 5:
+                lattices.append(d_lattice(chainmails[-1]).lattice)
+        try:
+            lattices.append(as_complete_lattice(p))
+        except NotALattice:
+            pass
+    assert len(chainmails) == 10 + 144 and len(lattices) == 45 + 78
+    for g in chainmails:
+        masks = _check_pairwise_family(tuple(~o for o in g.overlap),
+                                       g.poset.full_mask())
+        assert iter_td_masks(g) == masks
+    for lat in lattices:
+        masks = _check_pairwise_family(
+            lat.disjointness(), lat.poset.full_mask() & ~(1 << lat.bottom))
+        assert iter_separated_masks(lat) == masks
+
+
+def test_lower_order_matches_the_definition():
+    """Row i holds j exactly when masks[i] lies inside downs[j], on random
+    families over 8 elements, empty masks included."""
+    rng = random.Random(31)
+    for _ in range(300):
+        masks = [rng.getrandbits(8) & rng.getrandbits(8)
+                 for _ in range(rng.randint(0, 12))]
+        downs = [m | rng.getrandbits(8) for m in masks]
+        assert lower_order(masks, downs) == [
+            sum(1 << j for j, d in enumerate(downs) if m & d == m)
+            for m in masks]
 
 
 # -- order queries ---------------------------------------------------------------
