@@ -11,7 +11,7 @@ import signal
 import pytest
 
 import oracles
-from chainmail import enumeration, poset
+from chainmail import enumeration, poset, verify
 from chainmail.canonical import canonical_maximal_position, refine_colors
 from chainmail.enumeration import (
     FILTERS,
@@ -81,13 +81,13 @@ def test_counts_per_filter():
 def test_chainmails_are_multisets_of_mail_connected_ones():
     """Per-size chainmail counts are the Euler transform of the
     mail-connected counts: a chainmail is a disjoint union of
-    mail-connected components, up to size 7."""
+    mail-connected components, up to size 8."""
     connected = count_chainmails(
-        EnumerationTask(7, "mail-connected-chainmails"))
-    all_chain = count_chainmails(EnumerationTask(7, "chainmails"))
-    want = oracles.euler_transform([connected[s] for s in range(1, 8)])
-    assert want == [1, 2, 4, 10, 28, 99, 430]
-    assert [all_chain[s] for s in range(1, 8)] == want
+        EnumerationTask(8, "mail-connected-chainmails"))
+    all_chain = count_chainmails(EnumerationTask(8, "chainmails"))
+    want = oracles.euler_transform([connected[s] for s in range(1, 9)])
+    assert want == [1, 2, 4, 10, 28, 99, 430, 2390]
+    assert [all_chain[s] for s in range(1, 9)] == want
 
 
 def test_join_table_decides_chainmails():
@@ -645,10 +645,15 @@ def _walk_digest(posets):
 
 def test_walk_order_is_pinned():
     """The representatives and their order, as ``above`` rows, of the walk
-    of all posets to size 7 and of the census to size 8, hashed."""
+    of all posets to size 7, of the census to size 8, of the chainmails
+    to size 7 by size, and of the suites' lattices to size 8, hashed."""
     assert _walk_digest(enumeration.posets_up_to(7)) == (
         "8a43e131b9b156f9ba4844316db4a283de5060d13da9f51c22881c311250603f")
     census = enumeration._passing(
         EnumerationTask(8, "mail-connected-chainmails"))
     assert _walk_digest(census) == (
         "c92bd9ddf302cd7fb4876774f1124b76bd1a958f7ae4667c894ce47c15fb1ba2")
+    assert _walk_digest(enumeration.posets_up_to(7, "chainmails")) == (
+        "23db243bbfc4065b52a6109ef22715167dbf6811303fc31f5b0a8c4662da7c93")
+    assert _walk_digest(lat.poset for lat in verify._lattices_up_to(8)) == (
+        "5732e65b3706121fc1ad21a3495621f5a9a55080f49dcdb7d6dac8c069cc53ba")

@@ -44,10 +44,10 @@ def test_report_is_timed():
 
 def test_lattice_walk_counts_a006966():
     """The lattices the suites walk, one per isomorphism class, by size:
-    OEIS A006966 for n = 1..8."""
-    sizes = [lat.n for lat in verify._lattices_up_to(8)]
-    assert [sizes.count(n) for n in range(1, 9)] \
-        == [1, 1, 1, 2, 5, 15, 53, 222]
+    OEIS A006966 for n = 1..9."""
+    sizes = [lat.n for lat in verify._lattices_up_to(9)]
+    assert [sizes.count(n) for n in range(1, 10)] \
+        == [1, 1, 1, 2, 5, 15, 53, 222, 1078]
 
 
 @pytest.mark.parametrize("n", range(8))
