@@ -28,13 +28,14 @@ chainmail.  In a mail-connected chainmail the whole carrier is a
 mail-connected set, so it has a join, a top; removing it matches the
 mail-connected chainmails on n+1 elements one-to-one with the
 top-completable posets on n.  So the census walks the top-completable
-posets to n-1, from the empty poset (whose P + top is the singleton),
-and yields P + top for each.  That child is accepted unlabeled, so the
-representative is the one the walk of all posets would give.  Every
-chainmail is top-completable, so the chainmails filter walks the same
-tree to n and keeps the chainmails it visits: a top-completable poset is
-a chainmail exactly when every 2-element mail has an upper bound, which
-its join table shows.
+posets to n-1 and yields P + top for each.  That child is accepted
+unlabeled, so the representative is the one the walk of all posets would
+give.  Every chainmail is top-completable, so the chainmails filter
+walks the census tree one level deeper, to n, and keeps the chainmails
+it visits: a top-completable poset is a chainmail exactly when every
+2-element mail has an upper bound, which its join table shows.  Every
+walk starts at the empty poset, which stands for the singleton in the
+census and for nothing elsewhere.
 
 Pruning is sound.  Each added element is maximal when added, so it
 never lies below an old upper bound: a pair with upper bounds but no
@@ -320,41 +321,35 @@ def _walk(p, n, joins=None):
             yield from _walk(child, n, child_joins)
 
 
-def _mail_connected(g):
-    return len(g.components_of(g.poset.full_mask())) == 1
-
-
 def _tree(which, size):
-    """``(root, root's join table, depth)`` of the walk behind a filter.
+    """``(root's join table, depth, lift)`` of the walk behind a filter.
 
-    All posets: every poset from the singleton to ``size``.  Chainmails:
-    the top-completable posets from the singleton to ``size``.  The
-    census: the top-completable posets from the empty one to ``size - 1``,
-    each P standing for P + top.  A join table is ``(free, joined)``:
-    ``free[i]`` masks the j whose mail {i, j} has no upper bound, and
-    ``joined[i]`` lists by ascending k the ``(k, js)``, ``js`` masking the
-    j > i, incomparable with i, whose mail {i, j} has join k.  The roots'
-    tables are constants; :func:`_child_joins` carries them down.
+    Every walk is rooted at the empty poset.  All posets: every poset to
+    ``size``, with no table.  The census: the top-completable posets to
+    ``size - 1``, each P standing for P + top, so lifted one element.
+    Chainmails: the census tree one level deeper.  A join table is
+    ``(free, joined)``: ``free[i]`` masks the j whose mail {i, j} has no
+    upper bound, and ``joined[i]`` lists by ascending k the ``(k, js)``,
+    ``js`` masking the j > i, incomparable with i, whose mail {i, j} has
+    join k.  The root's table is empty; :func:`_child_joins` carries it.
     """
     if which == "all-posets":
-        return Poset((1,)), None, size
+        return None, size, 0
     if which == "chainmails":
-        return Poset((1,)), ((0,), ((),)), size
-    return Poset(()), ((), ()), size - 1
+        return ((), ()), size, 0
+    return ((), ()), size - 1, 1
 
 
-def _kept(joins, which):
-    """Whether the visited poset, with join table ``joins``, stands for a
-    structure under the filter: for chainmails, no mail lacks an upper
-    bound."""
-    return which != "chainmails" or not any(joins[0])
-
-
-def _structure(p, which):
-    """The structure the visited ``p`` stands for: P + top in the census."""
-    if which == "mail-connected-chainmails":
-        return _extend(p, p.full_mask())
-    return p
+def _stands_for(p, joins, lift, tally):
+    """The structure the visited ``p``, with join table ``joins``, stands
+    for, or with ``tally`` its size: P + top under a ``lift``, else P.
+    None, for nothing: the empty poset, or a poset whose table has a mail
+    with no upper bound (a top-completable poset that is no chainmail)."""
+    if lift:
+        return p.n + 1 if tally else _extend(p, p.full_mask())
+    if not p.n or joins is not None and any(joins[0]):
+        return None
+    return p.n if tally else p
 
 
 def _count_subtrees(args):
@@ -362,13 +357,11 @@ def _count_subtrees(args):
     ``tally`` as a count per size: one seed's work in :func:`_drain`.
     The seed is the node the walk built, so it is not labeled again."""
     seed, joins, size, which, tally = args
-    depth = _tree(which, size)[2]
-    found = (q for child, child_joins in _children(seed, joins)
-             for q, q_joins in _walk(child, depth, child_joins)
-             if _kept(q_joins, which))
-    if not tally:
-        return [_structure(q, which).above for q in found]
-    return Counter(q.n + size - depth for q in found)
+    _, depth, lift = _tree(which, size)
+    found = filter(None, (_stands_for(q, q_joins, lift, tally)
+                          for child, child_joins in _children(seed, joins)
+                          for q, q_joins in _walk(child, depth, child_joins)))
+    return Counter(found) if tally else [s.above for s in found]
 
 
 def _drain(seeds, next_seed, conn=None):
@@ -398,13 +391,14 @@ def _passing(task, tally=False):
     alive are terminated.  Serial structures are yielded as built here, so
     none is labeled twice.
     """
-    root, joins, depth = _tree(task.filter, task.size)
-    lift = task.size - depth
+    joins, depth, lift = _tree(task.filter, task.size)
     single = task.jobs == 1 or depth <= _SPLIT_SIZE
     seeds = []
-    for p, p_joins in _walk(root, depth if single else _SPLIT_SIZE, joins):
-        if _kept(p_joins, task.filter):
-            yield (p.n + lift, 1) if tally else _structure(p, task.filter)
+    for p, p_joins in _walk(Poset(()), depth if single else _SPLIT_SIZE,
+                            joins):
+        s = _stands_for(p, p_joins, lift, tally)
+        if s:
+            yield (s, 1) if tally else s
         if not single and p.n == _SPLIT_SIZE:
             p.automorphisms()
             seeds.append((p, p_joins, task.size, task.filter, tally))
@@ -451,9 +445,9 @@ def posets_up_to(n, which="all-posets"):
     """The structures on 1..n elements that pass the filter ``which``, by
     size: one serial walk of its tree (:func:`_passing`), stably sorted.
     The walk is a preorder, so each size keeps the order
-    :func:`enumerate_posets` yields it in; the chainmails tree is the
-    all-posets tree pruned, so within a size its chainmails keep the
-    all-posets order."""
+    :func:`enumerate_posets` yields it in.  The census tree is the
+    all-posets tree pruned, and P + top is the last child of P, so within
+    a size every filter keeps the all-posets order."""
     _check_size(n, None)
     if n < 1:
         return []
@@ -474,7 +468,8 @@ def _entry_fields(p):
         g = as_chainmail(p)
     except NotAChainmail:
         return False, False, None
-    return True, _mail_connected(g), len(iter_td_masks(g))
+    connected = len(g.components_of(g.poset.full_mask())) == 1
+    return True, connected, len(iter_td_masks(g))
 
 
 def emit_catalog(task, out_dir, budget=None):

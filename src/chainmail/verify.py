@@ -7,7 +7,8 @@ named witness instead of a stack trace.  The command line and the test
 suite both run these.
 
 Each population is one walk of the enumeration driver: every poset for
-the pairwise criterion, the chainmails tree for the others.
+the pairwise criterion, the census for the lattice suites, and the
+chainmails tree for unit-counit and adjunction.
 """
 
 from dataclasses import dataclass, field
@@ -44,13 +45,15 @@ def _lattices(posets):
     """The lattices among the chainmail ``posets``: those with a least
     element.  With one, every nonempty set is a mail, so has a join, and
     a meet, the join of its lower bounds.  Conversely a finite lattice has
-    a least element, the meet of all, and every mail has a join."""
+    a least element, the meet of all, and every mail has a join.  That
+    element is a lower bound of the whole carrier, which is so one mail:
+    a lattice is a mail-connected chainmail, and lies in the census."""
     return [as_complete_lattice(p) for p in posets
             if p.least_of(p.full_mask()) is not None]
 
 
 def _lattices_up_to(n):
-    return _lattices(posets_up_to(n, "chainmails"))
+    return _lattices(posets_up_to(n, "mail-connected-chainmails"))
 
 
 def _bound(max_size, default):

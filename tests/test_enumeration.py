@@ -91,14 +91,20 @@ def test_chainmails_are_multisets_of_mail_connected_ones():
 
 
 def test_join_table_decides_chainmails():
-    """At every node of the top-completable tree to size 7, the carried
-    join table and the pairwise check of ``poset_is_chainmail`` agree on
-    whether the node is a chainmail."""
-    root, joins, depth = enumeration._tree("chainmails", 7)
+    """At every node of the top-completable tree to size 7, the node rule
+    on the carried join table and the pairwise check of
+    ``poset_is_chainmail`` agree on whether the node is a chainmail, the
+    empty root aside, which stands for nothing; a kept node stands for
+    itself, and its tally is its size."""
+    joins, depth, lift = enumeration._tree("chainmails", 7)
+    assert lift == 0
     kept = 0
-    for p, p_joins in enumeration._walk(root, depth, joins):
-        is_chainmail = poset_is_chainmail(p)
-        assert enumeration._kept(p_joins, "chainmails") == is_chainmail
+    for p, p_joins in enumeration._walk(poset.Poset(()), depth, joins):
+        is_chainmail = p.n > 0 and poset_is_chainmail(p)
+        found = enumeration._stands_for(p, p_joins, lift, False)
+        assert found is (p if is_chainmail else None)
+        assert enumeration._stands_for(p, p_joins, lift, True) \
+            == (p.n if is_chainmail else None)
         kept += is_chainmail
     assert kept == 1 + 2 + 4 + 10 + 28 + 99 + 430
 
@@ -133,35 +139,36 @@ def _top_completable(p):
 def test_join_closure_decides_top_completable_children():
     """Over every down-set of every top-completable poset up to size 5,
     the child stays top-completable iff the down-set is closed under the
-    parent's pair joins; and the walk meets every top-completable poset."""
-    root, joins, depth = enumeration._tree("chainmails", 5)
+    parent's pair joins; and the walk meets every top-completable poset,
+    from the empty one."""
+    joins, depth, _ = enumeration._tree("chainmails", 5)
     seen = 0
-    for p, _ in enumeration._walk(root, depth, joins):
+    for p, _ in enumeration._walk(poset.Poset(()), depth, joins):
         joined = oracles.join_table(p.n, p.above)[1]
         for dmask in oracles.downset_masks(p.n, p.above):
             child = enumeration._extend(p, dmask)
             assert enumeration._join_closed(joined, dmask) \
                 == _top_completable(child)
         seen += 1
-    assert seen == sum(_top_completable(p)
-                       for p in enumeration.posets_up_to(5))
+    assert seen == 1 + sum(_top_completable(p)
+                           for p in enumeration.posets_up_to(5))
 
 
 def test_join_table_carried_down_matches_rebuilt():
     """The join table each node carries equals the one the oracle builds
     from its order, at every node of the top-completable tree to size 7,
-    walked from the empty root of the census and from the singleton root
-    of the chainmails: both root tables are constants."""
+    the singleton's included.  The census and the chainmails walk that
+    tree to different depths from one root, the empty poset, whose table
+    is the constant both filters start from."""
     census = count_chainmails(EnumerationTask(8, "mail-connected-chainmails"))
-    for which, root_size in (("mail-connected-chainmails", 0),
-                             ("chainmails", 1)):
-        root, joins, _ = enumeration._tree(which, 8)
-        assert root.n == root_size
-        seen = 0
-        for p, p_joins in enumeration._walk(root, 7, joins):
-            assert p_joins == oracles.join_table(p.n, p.above)
-            seen += 1
-        assert seen == sum(census.values()) - root_size
+    for which, depth in (("mail-connected-chainmails", 7), ("chainmails", 8)):
+        assert enumeration._tree(which, 8)[:2] \
+            == (oracles.join_table(0, ()), depth)
+    seen = 0
+    for p, p_joins in enumeration._walk(poset.Poset(()), 7, ((), ())):
+        assert p_joins == oracles.join_table(p.n, p.above)
+        seen += 1
+    assert seen == sum(census.values())
 
 
 def test_worker_count_independence(monkeypatch):
@@ -181,9 +188,9 @@ def test_worker_tally_counts_its_rows():
     returns for a catalog run, seed by seed of each walked tree; a seed
     is the node ``(p, p_joins)`` the walk built."""
     for flt in FILTERS:
-        root, joins, depth = enumeration._tree(flt, 7)
+        joins = enumeration._tree(flt, 7)[0]
         seeds = [(p, p_joins) for p, p_joins
-                 in enumeration._walk(root, 5, joins) if p.n == 5]
+                 in enumeration._walk(poset.Poset(()), 5, joins) if p.n == 5]
         assert seeds
         for seed in seeds:
             rows = enumeration._count_subtrees((*seed, 7, flt, False))
@@ -615,7 +622,8 @@ def test_carried_generators_match_oracle(monkeypatch):
     to size 7, the generators the walk hands down (or the labeling gave)
     generate exactly the brute-force automorphism group.  Among the
     nodes are children whose new element has twins (tie rule 3), whose
-    group needs the added swap."""
+    group needs the added swap.  Both walks start at the empty poset, so
+    the singleton is a child whose group the walk hands down."""
     stabilizer = enumeration._stabilizer
     swapped = []
 
@@ -627,13 +635,13 @@ def test_carried_generators_match_oracle(monkeypatch):
     monkeypatch.setattr(enumeration, "_stabilizer", recording)
     for which in ("mail-connected-chainmails", "all-posets"):
         swapped.clear()
-        root, joins, _ = enumeration._tree(which, 8)
-        for p, _ in enumeration._walk(root, 7, joins):
+        joins = enumeration._tree(which, 8)[0]
+        for p, _ in enumeration._walk(poset.Poset(()), 7, joins):
             assert _closure(p.n, p.automorphisms()) \
                 == set(oracles.automorphisms(p.n, p.above))
         assert (len(swapped), sum(swapped)) == {
             "mail-connected-chainmails": (2135, 305),
-            "all-posets": (2348, 406)}[which]
+            "all-posets": (2349, 406)}[which]
 
 
 def _walk_digest(posets):
