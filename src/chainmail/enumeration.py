@@ -342,9 +342,9 @@ def _tree(which, size):
 
 def _stands_for(p, joins, lift, tally):
     """The structure the visited ``p``, with join table ``joins``, stands
-    for, or with ``tally`` its size: P + top under a ``lift``, else P.
-    None, for nothing: the empty poset, or a poset whose table has a mail
-    with no upper bound (a top-completable poset that is no chainmail)."""
+    for, or with ``tally`` its size: P + top under a ``lift``, else P,
+    or None for nothing: the empty poset, or a top-completable poset
+    whose table has a mail with no upper bound, so no chainmail."""
     if lift:
         return p.n + 1 if tally else _extend(p, p.full_mask())
     if not p.n or joins is not None and any(joins[0]):
